@@ -19,6 +19,7 @@
 //! repro ingest perf.txt           # lift a perf-script LBR dump to .itrace
 //! repro bench                     # quick engine bench vs committed history
 //! repro bench --check             # same, failing on a >20% throughput drop
+//! repro bench --append my_label   # same, then append the run to the history
 //! repro adapt kafka --window 50000 # adaptive replanning with mid-run swaps
 //! repro adapt kafka --check       # assert delta speedup + MPKI convergence
 //! repro adapt kafka --drift       # same, over a mid-trace request-mix drift
@@ -30,158 +31,325 @@
 //! repro fleet serve kafka         # three-tier plan service (warm/replan/cold)
 //! ```
 
+use ispy_artifact::ArtifactError;
 use ispy_harness::cache::{ArtifactCache, DEFAULT_CACHE_DIR};
+use ispy_harness::enginebench::{self, BenchRun};
 use ispy_harness::{explain, figures, metrics, Scale, Session};
 use ispy_telemetry::{Telemetry, TimingMode};
-use ispy_trace::apps;
-use std::path::PathBuf;
+use ispy_trace::{apps, AppModel};
+use std::ops::RangeBounds;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// What a subcommand returns: its failure message on error. Argument,
+/// artifact and fleet errors all convert with `?`.
+type Outcome = Result<(), Box<dyn std::error::Error>>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    let Some(cmd) = args.first() else {
         usage();
         return ExitCode::FAILURE;
-    }
-    match args[0].as_str() {
-        "adapt" => return run_adapt_cmd(&args[1..]),
-        "bench" => return run_bench(&args[1..]),
-        "record" => return run_record(&args[1..]),
-        "plan" => return run_plan(&args[1..]),
-        "replay" => return run_replay(&args[1..]),
-        "ingest" => return run_ingest(&args[1..]),
-        "fleet" => return run_fleet(&args[1..]),
-        "scenario" => return run_scenario_cmd(&args[1..]),
-        _ => {}
-    }
-    let mut ids: Vec<String> = Vec::new();
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut scale = Scale::full();
-    let mut json_dir: Option<PathBuf> = None;
-    let mut metrics_dir: Option<PathBuf> = None;
-    let mut app_names: Option<Vec<String>> = None;
-    let mut explain_mode = false;
-    let mut explain_app: Option<String> = None;
-    let mut top_n = 10usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => scale = Scale::quick(),
-            "--test-scale" => scale = Scale::test(),
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => json_dir = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--json needs a directory");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--metrics" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => metrics_dir = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--metrics needs a directory");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--top" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => top_n = n,
-                    _ => {
-                        eprintln!("--top needs a count >= 1");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => ispy_parallel::set_threads(n),
-                    _ => {
-                        eprintln!("--jobs needs a thread count >= 1");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--apps" => {
-                i += 1;
-                match args.get(i) {
-                    Some(list) => {
-                        app_names = Some(list.split(',').map(|s| s.trim().to_string()).collect())
-                    }
-                    None => {
-                        eprintln!(
-                            "--apps needs a comma-separated list; known: {}",
-                            apps::NAMES.join(",")
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--cache" => cache_dir = Some(PathBuf::from(DEFAULT_CACHE_DIR)),
-            flag if flag.starts_with("--cache=") => {
-                let dir = &flag["--cache=".len()..];
-                if dir.is_empty() {
-                    eprintln!("--cache=DIR needs a directory");
-                    return ExitCode::FAILURE;
-                }
-                cache_dir = Some(PathBuf::from(dir));
-            }
-            "list" => {
-                for spec in figures::all() {
-                    println!("{:12} {}", spec.id, spec.about);
-                }
-                return ExitCode::SUCCESS;
-            }
-            "all" => ids.extend(figures::all().into_iter().map(|s| s.id.to_string())),
-            "explain" => explain_mode = true,
-            other => {
-                if explain_mode && explain_app.is_none() {
-                    explain_app = Some(other.to_string());
-                } else {
-                    ids.push(other.to_string());
-                }
-            }
-        }
-        i += 1;
-    }
-    if explain_mode {
-        let Some(app) = explain_app else {
-            eprintln!("explain needs an app name; known: {}", apps::NAMES.join(","));
-            return ExitCode::FAILURE;
-        };
-        return run_explain(&app, scale, top_n);
-    }
-    ids.dedup();
-    for id in &ids {
-        if figures::by_id(id).is_none() {
-            eprintln!("unknown experiment `{id}`; try `repro list`");
-            return ExitCode::FAILURE;
-        }
-    }
-    let models = match &app_names {
-        None => apps::all(),
-        Some(names) => {
-            let mut models = Vec::new();
-            for name in names {
-                match apps::by_name(name) {
-                    Some(m) => models.push(m),
-                    None => {
-                        eprintln!("unknown app `{name}`; known: {}", apps::NAMES.join(","));
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            models
-        }
     };
+    let rest = &args[1..];
+    let outcome = match cmd.as_str() {
+        "adapt" => run_adapt_cmd(rest),
+        "bench" => run_bench(rest),
+        "record" => run_record(rest),
+        "plan" => run_plan(rest),
+        "replay" => run_replay(rest),
+        "ingest" => run_ingest(rest),
+        "fleet" => run_fleet(rest),
+        "scenario" => run_scenario_cmd(rest),
+        _ => run_figures(&args),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// How a flag takes its value.
+#[derive(Clone, Copy, PartialEq)]
+enum Takes {
+    /// A bare switch: `--check`.
+    Nothing,
+    /// The next argument, whatever it is: `--jobs 4`.
+    Next,
+    /// Optionally attached with `=`: `--cache` or `--cache=DIR`.
+    Attached,
+}
+
+/// A flag a subcommand accepts: its spellings (the first is canonical),
+/// how it takes a value, and what that value must be (for error messages).
+struct Flag {
+    names: &'static [&'static str],
+    takes: Takes,
+    hint: &'static str,
+}
+
+const fn switch(names: &'static [&'static str]) -> Flag {
+    Flag { names, takes: Takes::Nothing, hint: "" }
+}
+
+const fn value(names: &'static [&'static str], hint: &'static str) -> Flag {
+    Flag { names, takes: Takes::Next, hint }
+}
+
+const QUICK: Flag = switch(&["--quick"]);
+const TEST_SCALE: Flag = switch(&["--test-scale"]);
+const JOBS: Flag = value(&["--jobs", "-j"], "a thread count >= 1");
+const CACHE: Flag = Flag { names: &["--cache"], takes: Takes::Attached, hint: "a directory" };
+const APPS: Flag = value(&["--apps"], "a comma-separated list of apps");
+
+/// `repro <figures>` and `repro explain <app>`.
+const FIGURE_FLAGS: &[Flag] = &[
+    QUICK,
+    TEST_SCALE,
+    value(&["--json"], "a directory"),
+    value(&["--metrics"], "a directory"),
+    value(&["--top"], "a count >= 1"),
+    JOBS,
+    APPS,
+    CACHE,
+];
+const BENCH_FLAGS: &[Flag] = &[
+    switch(&["--full"]),
+    switch(&["--check"]),
+    value(&["--baseline"], "a JSON file path"),
+    value(&["--append"], "a history label"),
+];
+const ADAPT_FLAGS: &[Flag] = &[
+    QUICK,
+    TEST_SCALE,
+    switch(&["--check"]),
+    switch(&["--drift"]),
+    value(&["--window"], "an event count >= 1"),
+    value(&["--epochs"], "a round count >= 1"),
+    value(&["--json"], "a file path"),
+];
+const SCENARIO_FLAGS: &[Flag] = &[
+    QUICK,
+    TEST_SCALE,
+    value(&["--events"], "an event count >= 1"),
+    JOBS,
+    value(&["--json"], "a file path"),
+];
+/// `repro record`, `repro plan` and `repro ingest`.
+const ARTIFACT_FLAGS: &[Flag] = &[
+    QUICK,
+    TEST_SCALE,
+    switch(&["--stream"]),
+    value(&["--events"], "an event count"),
+    value(&["--out", "-o"], "a file path"),
+];
+const REPLAY_FLAGS: &[Flag] = &[value(&["--plan"], "a .iplan file"), switch(&["--stream"])];
+const FLEET_FLAGS: &[Flag] = &[
+    QUICK,
+    TEST_SCALE,
+    value(&["--dir"], "a directory"),
+    value(&["--machines"], "a count >= 1"),
+    value(&["--events"], "an event count >= 1"),
+    APPS,
+    value(&["--line-vote"], "a fraction in 0.0..=1.0"),
+    value(&["--ctx-vote"], "a fraction in 0.0..=1.0"),
+    CACHE,
+    JOBS,
+];
+
+/// A parsed command line: the positional arguments, plus every flag
+/// occurrence in command-line order (the getters let the last one win).
+struct Args {
+    positional: Vec<String>,
+    flags: Vec<(&'static Flag, Option<String>)>,
+}
+
+/// Parses `args` against a subcommand's declared flags. Anything starting
+/// with `-` must be one of them.
+fn parse(spec: &'static [Flag], args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args { positional: Vec::new(), flags: Vec::new() };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            parsed.positional.push(arg.clone());
+            continue;
+        }
+        let (name, attached) = match arg.split_once('=') {
+            Some((name, v)) => (name, Some(v)),
+            None => (arg.as_str(), None),
+        };
+        let flag = spec
+            .iter()
+            .find(|f| f.names.contains(&name) && (attached.is_none() || f.takes == Takes::Attached))
+            .ok_or_else(|| format!("unknown flag `{arg}`"))?;
+        let value = match flag.takes {
+            Takes::Nothing => None,
+            Takes::Attached => attached.map(str::to_string),
+            Takes::Next => {
+                Some(it.next().ok_or_else(|| format!("{name} needs {}", flag.hint))?.clone())
+            }
+        };
+        parsed.flags.push((flag, value));
+    }
+    Ok(parsed)
+}
+
+impl Args {
+    /// Every occurrence of the flag whose canonical spelling is `name`.
+    fn occurrences<'a>(
+        &'a self,
+        name: &'a str,
+    ) -> impl Iterator<Item = (&'static Flag, Option<&'a str>)> + 'a {
+        self.flags.iter().filter(move |(f, _)| f.names[0] == name).map(|(f, v)| (*f, v.as_deref()))
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.occurrences(name).next().is_some()
+    }
+
+    /// The last value given for `name`.
+    fn value<'a>(&'a self, name: &'a str) -> Option<&'a str> {
+        self.occurrences(name).filter_map(|(_, v)| v).last()
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.value(name).map(PathBuf::from)
+    }
+
+    /// `--apps a,b,c` as a list of trimmed names.
+    fn list(&self, name: &str) -> Option<Vec<String>> {
+        self.value(name).map(|list| list.split(',').map(|s| s.trim().to_string()).collect())
+    }
+
+    /// The last of `--quick` / `--test-scale`, full scale without either.
+    fn scale(&self) -> Scale {
+        self.flags
+            .iter()
+            .rev()
+            .find_map(|(f, _)| match f.names[0] {
+                "--quick" => Some(Scale::quick()),
+                "--test-scale" => Some(Scale::test()),
+                _ => None,
+            })
+            .unwrap_or_else(Scale::full)
+    }
+
+    /// A numeric flag; every occurrence must parse and lie in `range`.
+    fn number<T: FromStr + PartialOrd>(
+        &self,
+        name: &str,
+        range: impl RangeBounds<T>,
+    ) -> Result<Option<T>, String> {
+        let mut out = None;
+        for (flag, v) in self.occurrences(name) {
+            match v.and_then(|v| v.parse::<T>().ok()) {
+                Some(n) if range.contains(&n) => out = Some(n),
+                _ => return Err(format!("{name} needs {}", flag.hint)),
+            }
+        }
+        Ok(out)
+    }
+
+    /// Applies `--jobs N` to the worker pool.
+    fn apply_jobs(&self) -> Result<(), String> {
+        if let Some(n) = self.number("--jobs", 1..)? {
+            ispy_parallel::set_threads(n);
+        }
+        Ok(())
+    }
+
+    /// `--cache` (the default directory) or `--cache=DIR`.
+    fn cache(&self) -> Result<Option<PathBuf>, String> {
+        let mut out = None;
+        for (_, v) in self.occurrences("--cache") {
+            out = Some(match v {
+                None => PathBuf::from(DEFAULT_CACHE_DIR),
+                Some("") => return Err("--cache=DIR needs a directory".into()),
+                Some(dir) => PathBuf::from(dir),
+            });
+        }
+        Ok(out)
+    }
+
+    /// The one positional argument, described as `what` if it is missing.
+    fn single(&self, what: &str) -> Result<&str, String> {
+        match self.positional.as_slice() {
+            [one] => Ok(one),
+            _ => Err(format!("expected exactly one {what}, got {}", self.positional.len())),
+        }
+    }
+
+    /// The one positional argument, resolved as an app model.
+    fn single_app(&self) -> Result<AppModel, String> {
+        let one =
+            self.single("app").map_err(|e| format!("{e}; known: {}", apps::NAMES.join(",")))?;
+        app_model(one)
+    }
+}
+
+fn app_model(name: &str) -> Result<AppModel, String> {
+    apps::by_name(name)
+        .ok_or_else(|| format!("unknown app `{name}`; known: {}", apps::NAMES.join(",")))
+}
+
+/// Resolves `--apps` names to models (all nine when absent).
+fn resolve_models(names: Option<Vec<String>>) -> Result<Vec<AppModel>, String> {
+    match names {
+        None => Ok(apps::all()),
+        Some(names) => names.iter().map(|name| app_model(name)).collect(),
+    }
+}
+
+/// The experiments named on the command line, `all` expanded, each once in
+/// the order first named.
+fn figure_ids(positional: &[String]) -> Result<Vec<String>, String> {
+    let mut ids: Vec<String> = Vec::new();
+    for name in positional {
+        let named = match name.as_str() {
+            "all" => figures::all().into_iter().map(|s| s.id.to_string()).collect(),
+            id if figures::by_id(id).is_some() => vec![id.to_string()],
+            id => return Err(format!("unknown experiment `{id}`; try `repro list`")),
+        };
+        for id in named {
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+    }
+    Ok(ids)
+}
+
+/// `repro <figures...>`, `repro list` and `repro explain <app>`.
+fn run_figures(args: &[String]) -> Outcome {
+    let args = parse(FIGURE_FLAGS, args)?;
+    args.apply_jobs()?;
+    let scale = args.scale();
+    let top_n = args.number("--top", 1..)?.unwrap_or(10);
+    let cache_dir = args.cache()?;
+    if args.positional.iter().any(|p| p == "list") {
+        for spec in figures::all() {
+            println!("{:12} {}", spec.id, spec.about);
+        }
+        return Ok(());
+    }
+    if let Some(at) = args.positional.iter().position(|p| p == "explain") {
+        let Some(app) = args.positional.get(at + 1) else {
+            return Err(
+                format!("explain needs an app name; known: {}", apps::NAMES.join(",")).into()
+            );
+        };
+        return run_explain(app, scale, top_n);
+    }
+    let ids = figure_ids(&args.positional)?;
+    let models = resolve_models(args.list("--apps"))?;
+    let json_dir = args.path("--json");
+    let metrics_dir = args.path("--metrics");
 
     eprintln!(
         "preparing {} applications (shrink={}, events={}, threads={}) ...",
@@ -191,10 +359,8 @@ fn main() -> ExitCode {
         ispy_parallel::threads(),
     );
     for dir in [&json_dir, &metrics_dir].into_iter().flatten() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
     let t0 = Instant::now();
     let session = match &cache_dir {
@@ -208,9 +374,7 @@ fn main() -> ExitCode {
     if let Some(dir) = &metrics_dir {
         // Preparation telemetry (profiling replays, CFG builds) accumulated
         // in the startup registry; harvest it before per-figure scoping.
-        if write_telemetry(dir, "prepare").is_err() {
-            return ExitCode::FAILURE;
-        }
+        write_telemetry(dir, "prepare")?;
     }
 
     for id in &ids {
@@ -228,44 +392,32 @@ fn main() -> ExitCode {
         println!("{table}");
         eprintln!("[{id} took {secs:.1}s]\n");
         if let Some(dir) = &json_dir {
-            let path = dir.join(format!("{id}.json"));
-            if let Err(e) = std::fs::write(&path, table.to_json_with_runtime(Some(secs))) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            write_file(&dir.join(format!("{id}.json")), table.to_json_with_runtime(Some(secs)))?;
         }
         if let Some(dir) = &metrics_dir {
-            if write_telemetry(dir, id).is_err() {
-                return ExitCode::FAILURE;
-            }
+            write_telemetry(dir, id)?;
         }
     }
     if let Some(dir) = &metrics_dir {
-        let path = dir.join("outcomes.json");
-        if let Err(e) = std::fs::write(&path, metrics::outcome_summary(&session)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file(&dir.join("outcomes.json"), metrics::outcome_summary(&session))?;
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Writes the current global registry as `<dir>/<name>.telemetry.json`.
-fn write_telemetry(dir: &std::path::Path, name: &str) -> Result<(), ()> {
-    let path = dir.join(format!("{name}.telemetry.json"));
+fn write_telemetry(dir: &Path, name: &str) -> Result<(), String> {
     let json = ispy_telemetry::global().to_json(TimingMode::Full);
-    std::fs::write(&path, json).map_err(|e| {
-        eprintln!("cannot write {}: {e}", path.display());
-    })
+    write_file(&dir.join(format!("{name}.telemetry.json")), json)
 }
 
 /// `repro explain <app>`: prepare just that app and print the markdown
 /// provenance/outcome audit of its top-N injections.
-fn run_explain(app: &str, scale: Scale, top_n: usize) -> ExitCode {
-    let Some(model) = apps::by_name(app) else {
-        eprintln!("unknown app `{app}`; known: {}", apps::NAMES.join(","));
-        return ExitCode::FAILURE;
-    };
+fn run_explain(app: &str, scale: Scale, top_n: usize) -> Outcome {
+    let model = app_model(app)?;
     eprintln!(
         "preparing {app} (shrink={}, events={}, threads={}) ...",
         scale.shrink,
@@ -274,17 +426,10 @@ fn run_explain(app: &str, scale: Scale, top_n: usize) -> ExitCode {
     );
     let t0 = Instant::now();
     let session = Session::with_apps(scale, vec![model]);
-    match explain(&session, app, top_n) {
-        Ok(report) => {
-            eprintln!("prepared and analysed in {:.1?}\n", t0.elapsed());
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
+    let report = explain(&session, app, top_n)?;
+    eprintln!("prepared and analysed in {:.1?}\n", t0.elapsed());
+    println!("{report}");
+    Ok(())
 }
 
 /// Throughput rows the `--check` floor gate watches: the tentpole metrics.
@@ -306,44 +451,38 @@ const FLOOR_FRACTION: f64 = 0.20;
 /// matching-sizing entry of the ordered measurement history committed in
 /// `BENCH_engine.json`, so a regression is visible without reading JSON.
 /// `--check` turns a >20% drop on the injected rows into a failing exit
-/// code — the CI throughput-floor gate.
-fn run_bench(args: &[String]) -> ExitCode {
-    let mut quick = true;
-    let mut check = false;
-    let mut baseline = PathBuf::from("BENCH_engine.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--full" => quick = false,
-            "--check" => check = true,
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => baseline = PathBuf::from(p),
-                    None => return fail("--baseline needs a JSON file path"),
-                }
-            }
-            other => return fail(&format!("unknown bench flag `{other}`")),
-        }
-        i += 1;
+/// code — the CI throughput-floor gate. `--append LABEL` then appends the
+/// run to the `--baseline` file's history.
+fn run_bench(args: &[String]) -> Outcome {
+    let args = parse(BENCH_FLAGS, args)?;
+    if let Some(extra) = args.positional.first() {
+        return Err(format!("unknown bench argument `{extra}`").into());
     }
-
+    let quick = !args.has("--full");
     let sizing = if quick { "quick" } else { "full" };
     eprintln!("measuring engine throughput ({sizing} sizing) ...");
-    let bench = ispy_harness::enginebench::run_engine_bench(quick);
+    let bench = enginebench::run_engine_bench(quick);
     println!(
         "engine bench: {} / {} events / best of {} reps (first rep discarded)",
         bench.app, bench.events, bench.reps
     );
+    let baseline = args.path("--baseline").unwrap_or_else(|| PathBuf::from("BENCH_engine.json"));
+    judge_bench(&bench, &baseline, args.has("--check"), args.value("--append"))
+}
 
-    let doc = match ispy_harness::enginebench::load_history(&baseline) {
+/// Compares a measured run with the latest matching-sizing entry in
+/// `baseline`, applies the `--check` floor when `check` is set, and only
+/// then appends the run under `append` — a failing check appends nothing.
+fn judge_bench(bench: &BenchRun, baseline: &Path, check: bool, append: Option<&str>) -> Outcome {
+    let sizing = if bench.quick { "quick" } else { "full" };
+    let doc = match enginebench::load_history(baseline) {
         Ok(doc) => Some(doc),
         Err(e) => {
             eprintln!("note: {e}");
             None
         }
     };
-    let committed = doc.as_ref().and_then(|d| ispy_harness::enginebench::latest_entry(d, quick));
+    let committed = doc.as_ref().and_then(|d| enginebench::latest_entry(d, bench.quick));
     // Name the entry every comparison below is against, so a breach report
     // says exactly which committed measurement it was judged by.
     let reference_name = committed
@@ -364,7 +503,7 @@ fn run_bench(args: &[String]) -> ExitCode {
             }
             None => String::new(),
         };
-        let reference = committed.and_then(|e| ispy_harness::enginebench::entry_row(e, row.name));
+        let reference = committed.and_then(|e| enginebench::entry_row(e, row.name));
         match reference {
             Some(reference) if reference > 0.0 => {
                 let delta = (row.blocks_per_sec - reference) / reference * 100.0;
@@ -378,7 +517,8 @@ fn run_bench(args: &[String]) -> ExitCode {
                 );
                 if GATED_ROWS.contains(&row.name) && delta < -100.0 * FLOOR_FRACTION {
                     floor_breaches.push(format!(
-                        "{}: {:.0} {} is {:.1}% below committed {:.0} from {reference_name}",
+                        "throughput floor breached: {}: {:.0} {} is {:.1}% below committed {:.0} \
+                         from {reference_name}",
                         row.name,
                         row.blocks_per_sec,
                         row.unit(),
@@ -398,23 +538,25 @@ fn run_bench(args: &[String]) -> ExitCode {
 
     if check {
         if committed.is_none() {
-            return fail(&format!(
+            return Err(format!(
                 "--check needs a committed {sizing}-sizing entry in {}",
                 baseline.display()
-            ));
+            )
+            .into());
         }
         if !floor_breaches.is_empty() {
-            for b in &floor_breaches {
-                eprintln!("throughput floor breached: {b}");
-            }
-            return ExitCode::FAILURE;
+            return Err(floor_breaches.join("\n").into());
         }
         println!(
             "throughput floor ok: gated rows within {:.0}% of {reference_name} values",
             100.0 * FLOOR_FRACTION
         );
     }
-    ExitCode::SUCCESS
+    if let Some(label) = append {
+        enginebench::append_history(baseline, enginebench::history_entry(bench, label))?;
+        eprintln!("appended `{label}` to {}", baseline.display());
+    }
+    Ok(())
 }
 
 /// Delta replans must beat a from-scratch plan by at least this factor for
@@ -433,57 +575,14 @@ const ADAPT_MAX_GAP: f64 = 0.02;
 /// `--check` turns the headline claims into a failing exit code: delta
 /// replans ≥10x faster than from-scratch and byte-identical, and the
 /// converged window within 2% of the oracle's MPKI.
-fn run_adapt_cmd(args: &[String]) -> ExitCode {
-    let mut app_name: Option<String> = None;
-    let mut scale = Scale::full();
-    let mut window: Option<usize> = None;
-    let mut epochs = 2usize;
-    let mut check = false;
-    let mut drift = false;
-    let mut json_out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => scale = Scale::quick(),
-            "--test-scale" => scale = Scale::test(),
-            "--check" => check = true,
-            "--drift" => drift = true,
-            "--window" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => window = Some(n),
-                    _ => return fail("--window needs an event count >= 1"),
-                }
-            }
-            "--epochs" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => epochs = n,
-                    _ => return fail("--epochs needs a round count >= 1"),
-                }
-            }
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => json_out = Some(PathBuf::from(p)),
-                    None => return fail("--json needs a file path"),
-                }
-            }
-            flag if flag.starts_with('-') => return fail(&format!("unknown adapt flag `{flag}`")),
-            other => {
-                if app_name.replace(other.to_string()).is_some() {
-                    return fail("adapt takes exactly one app");
-                }
-            }
-        }
-        i += 1;
-    }
-    let Some(app) = app_name else {
-        return fail(&format!("adapt needs an app name; known: {}", apps::NAMES.join(",")));
-    };
-    let Some(model) = apps::by_name(&app) else {
-        return fail(&format!("unknown app `{app}`; known: {}", apps::NAMES.join(",")));
-    };
+fn run_adapt_cmd(args: &[String]) -> Outcome {
+    let args = parse(ADAPT_FLAGS, args)?;
+    let scale = args.scale();
+    let window = args.number("--window", 1..)?;
+    let epochs = args.number("--epochs", 1..)?.unwrap_or(2);
+    let (check, drift) = (args.has("--check"), args.has("--drift"));
+    let model = args.single_app()?;
+    let app = model.name();
     // 5 adaptation windows per epoch by default, at any scale.
     let window = window.unwrap_or((scale.events / 5).max(1));
 
@@ -528,34 +627,37 @@ fn run_adapt_cmd(args: &[String]) -> ExitCode {
         outcome.replan_speedup(),
         if outcome.plans_identical { "yes" } else { "NO" }
     );
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, outcome.to_json()) {
-            return fail(&format!("writing {}: {e}", path.display()));
-        }
+    if let Some(path) = args.path("--json") {
+        std::fs::write(&path, outcome.to_json())
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }
 
     if check {
         if !outcome.plans_identical {
-            return fail("adapt check failed: delta replan diverged from the from-scratch plan");
+            return Err(
+                "adapt check failed: delta replan diverged from the from-scratch plan".into()
+            );
         }
         if outcome.replan_speedup() < ADAPT_MIN_SPEEDUP {
-            return fail(&format!(
+            return Err(format!(
                 "adapt check failed: delta replan speedup {:.1}x is below {ADAPT_MIN_SPEEDUP}x \
                  (full {:.1} ms, delta {:.2} ms)",
                 outcome.replan_speedup(),
                 outcome.replan_full_ms,
                 outcome.replan_delta_ms
-            ));
+            )
+            .into());
         }
         let gap = outcome.converged_gap();
         if gap > ADAPT_MAX_GAP {
-            return fail(&format!(
+            return Err(format!(
                 "adapt check failed: converged-window MPKI is {:.1}% above the oracle plan \
                  (limit {:.0}%)",
                 100.0 * gap,
                 100.0 * ADAPT_MAX_GAP
-            ));
+            )
+            .into());
         }
         println!(
             "adapt check ok: plans identical, speedup {:.1}x >= {ADAPT_MIN_SPEEDUP}x, \
@@ -565,64 +667,24 @@ fn run_adapt_cmd(args: &[String]) -> ExitCode {
             100.0 * ADAPT_MAX_GAP
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro scenario <spec>`: replay a production-shaped scenario (bursty
 /// arrivals, phase transitions, multi-tenant L1I interference) under the
 /// baseline/ideal/AsmDB/I-SPY plans and print the per-phase, per-tenant
 /// front-end stall and MPKI table (see `docs/SCENARIOS.md`).
-fn run_scenario_cmd(args: &[String]) -> ExitCode {
+fn run_scenario_cmd(args: &[String]) -> Outcome {
     let presets = ispy_scenario::Scenario::PRESETS.join(",");
-    let mut spec_name: Option<String> = None;
-    let mut scale = Scale::full();
-    let mut events: Option<u64> = None;
-    let mut json_out: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => scale = Scale::quick(),
-            "--test-scale" => scale = Scale::test(),
-            "--events" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => events = Some(n),
-                    _ => return fail("--events needs an event count >= 1"),
-                }
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => ispy_parallel::set_threads(n),
-                    _ => return fail("--jobs needs a thread count >= 1"),
-                }
-            }
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => json_out = Some(PathBuf::from(p)),
-                    None => return fail("--json needs a file path"),
-                }
-            }
-            flag if flag.starts_with('-') => {
-                return fail(&format!("unknown scenario flag `{flag}`"));
-            }
-            other => {
-                if spec_name.replace(other.to_string()).is_some() {
-                    return fail("scenario takes exactly one spec");
-                }
-            }
-        }
-        i += 1;
-    }
-    let Some(name) = spec_name else {
-        return fail(&format!("scenario needs a spec name; known: {presets}"));
-    };
-    let Some(spec) = ispy_scenario::Scenario::preset(&name) else {
-        return fail(&format!("unknown scenario `{name}`; known: {presets}"));
+    let args = parse(SCENARIO_FLAGS, args)?;
+    args.apply_jobs()?;
+    let scale = args.scale();
+    let events = args.number("--events", 1..)?.unwrap_or(scale.events as u64);
+    let name = args.single("scenario spec").map_err(|e| format!("{e}; known: {presets}"))?;
+    let Some(spec) = ispy_scenario::Scenario::preset(name) else {
+        return Err(format!("unknown scenario `{name}`; known: {presets}").into());
     };
     let spec = spec.scaled_down(scale.shrink);
-    let events = events.unwrap_or(scale.events as u64);
 
     eprintln!(
         "scenario {name}: {} tenants / {} phases / {events} events / threads {} ...",
@@ -684,13 +746,12 @@ fn run_scenario_cmd(args: &[String]) -> ExitCode {
         100.0 * outcome.ispy_total.fraction_of_ideal(&outcome.base_total, &outcome.ideal_total),
     );
 
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, outcome.to_json()) {
-            return fail(&format!("writing {}: {e}", path.display()));
-        }
+    if let Some(path) = args.path("--json") {
+        std::fs::write(&path, outcome.to_json())
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn usage() {
@@ -704,6 +765,7 @@ fn usage() {
     eprintln!("       repro replay <FILE.itrace> [--plan FILE.iplan] [--stream]");
     eprintln!("       repro ingest <perf-script.txt> [-o FILE.itrace]");
     eprintln!("       repro bench [--full] [--check] [--baseline BENCH_engine.json]");
+    eprintln!("                   [--append LABEL]");
     eprintln!("       repro adapt <app> [--quick | --test-scale] [--window N] [--epochs N]");
     eprintln!("                   [--check] [--drift] [--json FILE.adapt.json]");
     eprintln!("       repro scenario <steady|diurnal|burst|storm> [--quick | --test-scale]");
@@ -714,141 +776,59 @@ fn usage() {
     eprintln!("       (--cache defaults to {DEFAULT_CACHE_DIR}/, --dir to {DEFAULT_FLEET_DIR}/)");
 }
 
-/// Flags shared by the artifact subcommands.
-struct ArtifactArgs {
-    positional: Vec<String>,
-    scale: Scale,
-    out: Option<PathBuf>,
-    /// `--stream`: bounded-memory path (streamed record / streamed replay).
-    stream: bool,
-    /// `--events N`: explicit event count, overriding the scale's default.
-    events: Option<u64>,
-}
-
-/// Parses the scale/output flags shared by the artifact subcommands.
-fn parse_artifact_args(args: &[String]) -> Result<ArtifactArgs, String> {
-    let mut parsed = ArtifactArgs {
-        positional: Vec::new(),
-        scale: Scale::full(),
-        out: None,
-        stream: false,
-        events: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => parsed.scale = Scale::quick(),
-            "--test-scale" => parsed.scale = Scale::test(),
-            "--stream" => parsed.stream = true,
-            "--events" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<u64>().ok()) {
-                    Some(n) => parsed.events = Some(n),
-                    None => return Err("--events needs an event count".to_string()),
-                }
-            }
-            "-o" | "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => parsed.out = Some(PathBuf::from(p)),
-                    None => return Err("-o needs a file path".to_string()),
-                }
-            }
-            flag if flag.starts_with('-') && flag != "--plan" => {
-                return Err(format!("unknown flag `{flag}`"));
-            }
-            other => parsed.positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-    Ok(parsed)
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("{msg}");
-    ExitCode::FAILURE
-}
-
 /// `repro record <app>`: record an execution and store it as `.itrace`.
 ///
 /// With `--stream` the trace never exists in memory: the generator feeds a
 /// [`RecordingWriter`](ispy_trace::artifact::RecordingWriter) chunk by
 /// chunk, so `--events` can exceed RAM (the 100M-block CI gate records this
 /// way under a ulimit).
-fn run_record(args: &[String]) -> ExitCode {
-    let parsed = match parse_artifact_args(args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let [app] = parsed.positional.as_slice() else {
-        return fail(&format!("record needs exactly one app; known: {}", apps::NAMES.join(",")));
-    };
-    let Some(model) = apps::by_name(app) else {
-        return fail(&format!("unknown app `{app}`; known: {}", apps::NAMES.join(",")));
-    };
-    let model = model.scaled_down(parsed.scale.shrink);
+fn run_record(args: &[String]) -> Outcome {
+    let args = parse(ARTIFACT_FLAGS, args)?;
+    let scale = args.scale();
+    let events = args.number("--events", 0..)?.unwrap_or(scale.events as u64);
+    let stream = args.has("--stream");
+    let model = args.single_app()?.scaled_down(scale.shrink);
+    let app = model.name();
     let program = model.generate();
-    let events = parsed.events.unwrap_or(parsed.scale.events as u64);
-    let path = parsed.out.unwrap_or_else(|| PathBuf::from(format!("{app}.itrace")));
-    let written = if parsed.stream {
+    let path = args.path("--out").unwrap_or_else(|| PathBuf::from(format!("{app}.itrace")));
+    let written = if stream {
+        use ispy_trace::BlockSource;
         let walker = ispy_trace::Walker::new(&program, model.default_input());
         let mut source = ispy_trace::WalkerSource::new(walker, events);
         let mut writer =
-            match ispy_trace::artifact::RecordingWriter::create(&path, &program, program.name()) {
-                Ok(w) => w,
-                Err(e) => return fail(&e.to_string()),
-            };
-        loop {
-            use ispy_trace::BlockSource;
-            match source.next_chunk() {
-                Ok(Some(chunk)) => {
-                    if let Err(e) = writer.push(chunk) {
-                        return fail(&e.to_string());
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => return fail(&e.to_string()),
-            }
+            ispy_trace::artifact::RecordingWriter::create(&path, &program, program.name())?;
+        while let Some(chunk) = source.next_chunk()? {
+            writer.push(chunk)?;
         }
         let written = writer.events_written();
-        if let Err(e) = writer.finish() {
-            return fail(&e.to_string());
-        }
+        writer.finish()?;
         written
     } else {
         if events > usize::MAX as u64 {
-            return fail("--events too large to materialize; use --stream");
+            return Err("--events too large to materialize; use --stream".into());
         }
         let trace = program.record_trace(model.default_input(), events as usize);
-        if let Err(e) = ispy_trace::artifact::write_recording(&program, &trace, &path) {
-            return fail(&e.to_string());
-        }
+        ispy_trace::artifact::write_recording(&program, &trace, &path)?;
         trace.len() as u64
     };
     eprintln!(
         "recorded {app}: {} blocks, {} events{} -> {}",
         program.num_blocks(),
         written,
-        if parsed.stream { " (streamed)" } else { "" },
+        if stream { " (streamed)" } else { "" },
         path.display()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro plan <app>`: profile, plan I-SPY injections, store as `.iplan`.
-fn run_plan(args: &[String]) -> ExitCode {
-    let parsed = match parse_artifact_args(args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let (scale, out) = (parsed.scale, parsed.out);
-    let [app] = parsed.positional.as_slice() else {
-        return fail(&format!("plan needs exactly one app; known: {}", apps::NAMES.join(",")));
-    };
-    let Some(model) = apps::by_name(app) else {
-        return fail(&format!("unknown app `{app}`; known: {}", apps::NAMES.join(",")));
-    };
-    let ctx = ispy_harness::session::AppContext::prepare(model, scale);
+fn run_plan(args: &[String]) -> Outcome {
+    let args = parse(ARTIFACT_FLAGS, args)?;
+    // `--events` does not apply here, but a malformed count is still an error.
+    args.number::<u64>("--events", 0..)?;
+    let model = args.single_app()?;
+    let app = model.name();
+    let ctx = ispy_harness::session::AppContext::prepare(model, args.scale());
     let plan = ispy_core::Planner::new(
         &ctx.program,
         &ctx.trace,
@@ -856,10 +836,8 @@ fn run_plan(args: &[String]) -> ExitCode {
         ispy_core::IspyConfig::default(),
     )
     .plan();
-    let path = out.unwrap_or_else(|| PathBuf::from(format!("{app}.iplan")));
-    if let Err(e) = ispy_core::artifact::write_plan(app, &plan, &path) {
-        return fail(&e.to_string());
-    }
+    let path = args.path("--out").unwrap_or_else(|| PathBuf::from(format!("{app}.iplan")));
+    ispy_core::artifact::write_plan(app, &plan, &path)?;
     eprintln!(
         "planned {app}: {} ops at {} sites ({} bytes injected) -> {}",
         plan.stats.ops_total(),
@@ -867,41 +845,18 @@ fn run_plan(args: &[String]) -> ExitCode {
         plan.stats.injected_bytes,
         path.display()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro replay <file.itrace> [--plan file.iplan] [--stream]`: re-simulate
 /// a recorded artifact and print the canonical metric lines. `--stream`
 /// replays in bounded memory (the file's events are decoded chunk by chunk,
 /// never materialized) and prints byte-identical output.
-fn run_replay(args: &[String]) -> ExitCode {
-    let mut files = Vec::new();
-    let mut plan_file: Option<PathBuf> = None;
-    let mut stream = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--plan" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => plan_file = Some(PathBuf::from(p)),
-                    None => return fail("--plan needs a .iplan file"),
-                }
-            }
-            "--stream" => stream = true,
-            flag if flag.starts_with('-') => return fail(&format!("unknown flag `{flag}`")),
-            other => files.push(PathBuf::from(other)),
-        }
-        i += 1;
-    }
-    let [path] = files.as_slice() else {
-        return fail("replay needs exactly one .itrace file");
-    };
-    let plan = match &plan_file {
-        Some(p) => match ispy_core::artifact::read_plan(p) {
-            Ok((label, plan)) => Some((label, plan)),
-            Err(e) => return fail(&e.to_string()),
-        },
+fn run_replay(args: &[String]) -> Outcome {
+    let args = parse(REPLAY_FLAGS, args)?;
+    let path = Path::new(args.single(".itrace file")?);
+    let plan = match args.path("--plan") {
+        Some(p) => Some(ispy_core::artifact::read_plan(&p)?),
         None => None,
     };
     let cfg = ispy_sim::SimConfig::default();
@@ -909,18 +864,13 @@ fn run_replay(args: &[String]) -> ExitCode {
         injections: plan.as_ref().map(|(_, p)| &p.injections),
         ..Default::default()
     };
-    let (name, result) = if stream {
-        match ispy_sim::replay_file_streaming(path, &cfg, opts) {
-            Ok(out) => (out.name, out.result),
-            Err(e) => return fail(&e.to_string()),
-        }
+    let (name, result) = if args.has("--stream") {
+        let file = std::fs::File::open(path).map_err(|e| ArtifactError::io(path, e))?;
+        let out = ispy_sim::replay_stream(std::io::BufReader::new(file), &cfg, opts)?;
+        (out.name, out.result)
     } else {
-        let (program, trace) = match ispy_trace::artifact::read_recording(path) {
-            Ok(pair) => pair,
-            Err(e) => return fail(&e.to_string()),
-        };
-        let result = ispy_sim::run(&program, &trace, &cfg, opts);
-        (program.name().to_string(), result)
+        let (program, trace) = ispy_trace::artifact::read_recording(path)?;
+        (program.name().to_string(), ispy_sim::run(&program, &trace, &cfg, opts))
     };
     if let Some((label, _)) = &plan {
         if label != &name {
@@ -928,7 +878,7 @@ fn run_replay(args: &[String]) -> ExitCode {
         }
     }
     print!("{}", metrics::result_lines(&name, &result));
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The default fleet directory (`repro fleet` with no `--dir`).
@@ -946,89 +896,6 @@ struct FleetArgs {
     fleet_cfg: ispy_fleet::FleetConfig,
 }
 
-fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
-    let mut parsed = FleetArgs {
-        positional: Vec::new(),
-        dir: PathBuf::from(DEFAULT_FLEET_DIR),
-        scale: Scale::full(),
-        machines: 9,
-        events: None,
-        apps: None,
-        cache_dir: PathBuf::from(DEFAULT_CACHE_DIR),
-        fleet_cfg: ispy_fleet::FleetConfig::default(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => parsed.scale = Scale::quick(),
-            "--test-scale" => parsed.scale = Scale::test(),
-            "--dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(d) => parsed.dir = PathBuf::from(d),
-                    None => return Err("--dir needs a directory".to_string()),
-                }
-            }
-            "--machines" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => parsed.machines = n,
-                    _ => return Err("--machines needs a count >= 1".to_string()),
-                }
-            }
-            "--events" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => parsed.events = Some(n),
-                    _ => return Err("--events needs an event count >= 1".to_string()),
-                }
-            }
-            "--apps" => {
-                i += 1;
-                match args.get(i) {
-                    Some(list) => {
-                        parsed.apps = Some(list.split(',').map(|s| s.trim().to_string()).collect())
-                    }
-                    None => return Err("--apps needs a comma-separated list".to_string()),
-                }
-            }
-            "--line-vote" | "--ctx-vote" => {
-                let flag = args[i].clone();
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<f64>().ok()) {
-                    Some(v) if (0.0..=1.0).contains(&v) => {
-                        if flag == "--line-vote" {
-                            parsed.fleet_cfg.line_vote = v;
-                        } else {
-                            parsed.fleet_cfg.ctx_vote = v;
-                        }
-                    }
-                    _ => return Err(format!("{flag} needs a fraction in 0.0..=1.0")),
-                }
-            }
-            "--cache" => parsed.cache_dir = PathBuf::from(DEFAULT_CACHE_DIR),
-            flag if flag.starts_with("--cache=") => {
-                let dir = &flag["--cache=".len()..];
-                if dir.is_empty() {
-                    return Err("--cache=DIR needs a directory".to_string());
-                }
-                parsed.cache_dir = PathBuf::from(dir);
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => ispy_parallel::set_threads(n),
-                    _ => return Err("--jobs needs a thread count >= 1".to_string()),
-                }
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown fleet flag `{flag}`")),
-            other => parsed.positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-    Ok(parsed)
-}
-
 /// `repro fleet <gen|ingest|merge|plan|serve>`: the fleet-scale plan
 /// pipeline (see `docs/FLEET.md`).
 ///
@@ -1043,22 +910,40 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetArgs, String> {
 /// * `serve <app>...` answers plan requests through the three-tier path
 ///   (warm cache → replan from aggregate → cold) and prints the per-tier
 ///   telemetry counters.
-fn run_fleet(args: &[String]) -> ExitCode {
-    let Some(cmd) = args.first().map(String::as_str) else {
-        return fail("fleet needs a subcommand: gen|ingest|merge|plan|serve (see `repro` usage)");
+fn run_fleet(args: &[String]) -> Outcome {
+    let args = parse(FLEET_FLAGS, args)?;
+    args.apply_jobs()?;
+    let mut fleet_cfg = ispy_fleet::FleetConfig::default();
+    if let Some(v) = args.number("--line-vote", 0.0..=1.0)? {
+        fleet_cfg.line_vote = v;
+    }
+    if let Some(v) = args.number("--ctx-vote", 0.0..=1.0)? {
+        fleet_cfg.ctx_vote = v;
+    }
+    let Some((cmd, positional)) = args.positional.split_first() else {
+        return Err(
+            "fleet needs a subcommand: gen|ingest|merge|plan|serve (see `repro` usage)".into()
+        );
     };
-    let parsed = match parse_fleet_args(&args[1..]) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
+    let parsed = FleetArgs {
+        positional: positional.to_vec(),
+        dir: args.path("--dir").unwrap_or_else(|| PathBuf::from(DEFAULT_FLEET_DIR)),
+        scale: args.scale(),
+        machines: args.number("--machines", 1..)?.unwrap_or(9),
+        events: args.number("--events", 1..)?,
+        apps: args.list("--apps"),
+        cache_dir: args.cache()?.unwrap_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR)),
+        fleet_cfg,
     };
-    match cmd {
+    match cmd.as_str() {
         "gen" => fleet_gen(parsed),
         "ingest" => fleet_ingest(parsed),
         "merge" => fleet_merge(parsed),
         "plan" => fleet_plan(parsed),
         "serve" => fleet_serve(parsed),
         other => {
-            fail(&format!("unknown fleet subcommand `{other}`; try gen|ingest|merge|plan|serve"))
+            Err(format!("unknown fleet subcommand `{other}`; try gen|ingest|merge|plan|serve")
+                .into())
         }
     }
 }
@@ -1068,49 +953,41 @@ fn run_fleet(args: &[String]) -> ExitCode {
 /// with a small deterministic trace-length spread, so the fleet covers
 /// several inputs of the same binary — the setting the consensus merge is
 /// for.
-fn fleet_gen(parsed: FleetArgs) -> ExitCode {
+fn fleet_gen(parsed: FleetArgs) -> Outcome {
     use ispy_profile::{profile, SampleRate};
-    let models = match resolve_models(&parsed.apps) {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    if let Err(e) = std::fs::create_dir_all(&parsed.dir) {
-        return fail(&format!("cannot create {}: {e}", parsed.dir.display()));
-    }
+    let models = resolve_models(parsed.apps)?;
+    std::fs::create_dir_all(&parsed.dir)
+        .map_err(|e| format!("cannot create {}: {e}", parsed.dir.display()))?;
     let events = parsed.events.unwrap_or(parsed.scale.events);
     let t0 = Instant::now();
-    let prepared: Vec<(ispy_trace::AppModel, ispy_trace::Program)> =
-        ispy_parallel::par_map_vec(models, |m| {
-            let m = m.scaled_down(parsed.scale.shrink);
-            let p = m.generate();
-            (m, p)
-        });
+    let prepared: Vec<(AppModel, ispy_trace::Program)> = ispy_parallel::par_map_vec(models, |m| {
+        let m = m.scaled_down(parsed.scale.shrink);
+        let p = m.generate();
+        (m, p)
+    });
     // One representative recording per app, then the machine grid.
-    let traces: Vec<Result<(), String>> = ispy_parallel::par_collect(prepared.len(), |i| {
+    let traces: Vec<Result<(), ArtifactError>> = ispy_parallel::par_collect(prepared.len(), |i| {
         let (model, program) = &prepared[i];
         let trace = program.record_trace(model.default_input(), events);
         let path = parsed.dir.join(format!("{}.itrace", model.name()));
-        ispy_trace::artifact::write_recording(program, &trace, &path).map_err(|e| e.to_string())
+        ispy_trace::artifact::write_recording(program, &trace, &path)
     });
     let napps = prepared.len();
     let machines = parsed.machines;
-    let profiles: Vec<Result<(), String>> = ispy_parallel::par_collect(napps * machines, |j| {
-        let (model, program) = &prepared[j / machines];
-        let m = j % machines;
-        // Drift across machines: rotate through the five fig16 input
-        // variants and spread trace lengths a little so same-variant
-        // machines still measure distinct executions.
-        let len = events + 61 * (m / 5);
-        let trace = program.record_trace(model.input_variant(m % 5), len);
-        let prof = profile(program, &trace, &ispy_sim::SimConfig::default(), SampleRate::EXACT);
-        let path = parsed.dir.join(format!("{}-m{m:04}.iprof", model.name()));
-        ispy_profile::artifact::write_profile(model.name(), &prof, &path).map_err(|e| e.to_string())
-    });
-    for r in traces.iter().chain(profiles.iter()) {
-        if let Err(e) = r {
-            return fail(e);
-        }
-    }
+    let profiles: Vec<Result<(), ArtifactError>> =
+        ispy_parallel::par_collect(napps * machines, |j| {
+            let (model, program) = &prepared[j / machines];
+            let m = j % machines;
+            // Drift across machines: rotate through the five fig16 input
+            // variants and spread trace lengths a little so same-variant
+            // machines still measure distinct executions.
+            let len = events + 61 * (m / 5);
+            let trace = program.record_trace(model.input_variant(m % 5), len);
+            let prof = profile(program, &trace, &ispy_sim::SimConfig::default(), SampleRate::EXACT);
+            let path = parsed.dir.join(format!("{}-m{m:04}.iprof", model.name()));
+            ispy_profile::artifact::write_profile(model.name(), &prof, &path)
+        });
+    traces.into_iter().chain(profiles).collect::<Result<(), _>>()?;
     eprintln!(
         "fleet gen: {napps} apps x {machines} machines -> {} profiles + {napps} traces in {} \
          ({:.1?})",
@@ -1118,15 +995,16 @@ fn fleet_gen(parsed: FleetArgs) -> ExitCode {
         parsed.dir.display(),
         t0.elapsed(),
     );
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn scan_fleet(dir: &Path) -> Result<ispy_fleet::FleetManifest, String> {
+    ispy_fleet::FleetManifest::scan(dir).map_err(|e| format!("cannot scan {}: {e}", dir.display()))
 }
 
 /// `repro fleet ingest`: scan the fleet directory, print per-app shards.
-fn fleet_ingest(parsed: FleetArgs) -> ExitCode {
-    let manifest = match ispy_fleet::FleetManifest::scan(&parsed.dir) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("cannot scan {}: {e}", parsed.dir.display())),
-    };
+fn fleet_ingest(parsed: FleetArgs) -> Outcome {
+    let manifest = scan_fleet(&parsed.dir)?;
     println!("fleet dir: {}", parsed.dir.display());
     let apps = manifest.apps();
     for app in &apps {
@@ -1147,28 +1025,20 @@ fn fleet_ingest(parsed: FleetArgs) -> ExitCode {
         manifest.traces.len(),
         apps.len()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro fleet merge`: consensus-merge every app's members.
-fn fleet_merge(parsed: FleetArgs) -> ExitCode {
-    let manifest = match ispy_fleet::FleetManifest::scan(&parsed.dir) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("cannot scan {}: {e}", parsed.dir.display())),
-    };
+fn fleet_merge(parsed: FleetArgs) -> Outcome {
+    let manifest = scan_fleet(&parsed.dir)?;
     let t0 = Instant::now();
-    let merged = match ispy_fleet::merge_all(&manifest, parsed.fleet_cfg) {
-        Ok(m) => m,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let merged = ispy_fleet::merge_all(&manifest, parsed.fleet_cfg)?;
     if merged.is_empty() {
-        return fail(&format!("no profile artifacts in {}", parsed.dir.display()));
+        return Err(format!("no profile artifacts in {}", parsed.dir.display()).into());
     }
     for (app, profile, stats) in &merged {
         let path = ispy_fleet::store::consensus_profile_path(&parsed.dir, app);
-        if let Err(e) = ispy_profile::artifact::write_profile(app, profile, &path) {
-            return fail(&e.to_string());
-        }
+        ispy_profile::artifact::write_profile(app, profile, &path)?;
         println!(
             "merged {app}: {} members, {}/{} lines kept, {} predictors dropped, {} misses -> {}",
             stats.members,
@@ -1180,19 +1050,13 @@ fn fleet_merge(parsed: FleetArgs) -> ExitCode {
         );
     }
     eprintln!("merged {} apps in {:.1?}", merged.len(), t0.elapsed());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro fleet plan`: plan from each consensus profile.
-fn fleet_plan(parsed: FleetArgs) -> ExitCode {
-    let manifest = match ispy_fleet::FleetManifest::scan(&parsed.dir) {
-        Ok(m) => m,
-        Err(e) => return fail(&format!("cannot scan {}: {e}", parsed.dir.display())),
-    };
-    let apps: Vec<String> = match &parsed.apps {
-        Some(list) => list.clone(),
-        None => manifest.apps(),
-    };
+fn fleet_plan(parsed: FleetArgs) -> Outcome {
+    let manifest = scan_fleet(&parsed.dir)?;
+    let apps = parsed.apps.unwrap_or_else(|| manifest.apps());
     let mut planned = 0usize;
     for app in &apps {
         let consensus_path = ispy_fleet::store::consensus_profile_path(&parsed.dir, app);
@@ -1204,14 +1068,8 @@ fn fleet_plan(parsed: FleetArgs) -> ExitCode {
             eprintln!("note: no representative .itrace for `{app}`; cannot plan");
             continue;
         };
-        let (_label, consensus) = match ispy_profile::artifact::read_profile(&consensus_path) {
-            Ok(pair) => pair,
-            Err(e) => return fail(&e.to_string()),
-        };
-        let (program, trace) = match ispy_trace::artifact::read_recording(&trace_entry.path) {
-            Ok(pair) => pair,
-            Err(e) => return fail(&e.to_string()),
-        };
+        let (_label, consensus) = ispy_profile::artifact::read_profile(&consensus_path)?;
+        let (program, trace) = ispy_trace::artifact::read_recording(&trace_entry.path)?;
         let baseline = ispy_core::PlannerBaseline::new();
         let plan = ispy_fleet::plan_consensus(
             &program,
@@ -1221,9 +1079,7 @@ fn fleet_plan(parsed: FleetArgs) -> ExitCode {
             &baseline,
         );
         let path = ispy_fleet::store::consensus_plan_path(&parsed.dir, app);
-        if let Err(e) = ispy_core::artifact::write_plan(app, &plan, &path) {
-            return fail(&e.to_string());
-        }
+        ispy_core::artifact::write_plan(app, &plan, &path)?;
         println!(
             "planned {app} from consensus: {} ops at {} sites -> {}",
             plan.stats.ops_total(),
@@ -1233,18 +1089,17 @@ fn fleet_plan(parsed: FleetArgs) -> ExitCode {
         planned += 1;
     }
     if planned == 0 {
-        return fail("nothing planned: no consensus artifacts found");
+        return Err("nothing planned: no consensus artifacts found".into());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro fleet serve <app>...`: the three-tier plan service.
-fn fleet_serve(parsed: FleetArgs) -> ExitCode {
+fn fleet_serve(parsed: FleetArgs) -> Outcome {
     if parsed.positional.is_empty() {
-        return fail(&format!(
-            "serve needs at least one app name; known: {}",
-            apps::NAMES.join(",")
-        ));
+        return Err(
+            format!("serve needs at least one app name; known: {}", apps::NAMES.join(",")).into()
+        );
     }
     let service = ispy_harness::fleet::PlanService::with_config(
         &parsed.dir,
@@ -1253,15 +1108,13 @@ fn fleet_serve(parsed: FleetArgs) -> ExitCode {
         parsed.fleet_cfg,
     );
     for app in &parsed.positional {
-        match service.serve(app) {
-            Ok(outcome) => println!(
-                "served {app} via {}: {} ops at {} sites",
-                outcome.tier.name(),
-                outcome.plan.stats.ops_total(),
-                outcome.plan.stats.sites,
-            ),
-            Err(e) => return fail(&e),
-        }
+        let outcome = service.serve(app)?;
+        println!(
+            "served {app} via {}: {} ops at {} sites",
+            outcome.tier.name(),
+            outcome.plan.stats.ops_total(),
+            outcome.plan.stats.sites,
+        );
     }
     let tele = ispy_telemetry::global();
     println!("serve tiers:");
@@ -1271,51 +1124,189 @@ fn fleet_serve(parsed: FleetArgs) -> ExitCode {
         let ms = tele.spans().get(&name).map_or(0.0, |s| s.total_ms());
         println!("  {name:<18} hits={hits}   {ms:.1} ms");
     }
-    ExitCode::SUCCESS
-}
-
-/// Resolves `--apps` names to models (all nine when absent).
-fn resolve_models(names: &Option<Vec<String>>) -> Result<Vec<ispy_trace::AppModel>, String> {
-    match names {
-        None => Ok(apps::all()),
-        Some(names) => names
-            .iter()
-            .map(|name| {
-                apps::by_name(name).ok_or_else(|| {
-                    format!("unknown app `{name}`; known: {}", apps::NAMES.join(","))
-                })
-            })
-            .collect(),
-    }
+    Ok(())
 }
 
 /// `repro ingest <perf.txt>`: lift a perf-script LBR dump into `.itrace`.
-fn run_ingest(args: &[String]) -> ExitCode {
-    let parsed = match parse_artifact_args(args) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let out = parsed.out;
-    let [input] = parsed.positional.as_slice() else {
-        return fail("ingest needs exactly one perf-script text file");
-    };
-    let text = match std::fs::read_to_string(input) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {input}: {e}")),
-    };
-    let (program, trace) = match ispy_trace::ingest::parse_perf_script(&text) {
-        Ok(pair) => pair,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let path = out.unwrap_or_else(|| PathBuf::from(input).with_extension("itrace"));
-    if let Err(e) = ispy_trace::artifact::write_recording(&program, &trace, &path) {
-        return fail(&e.to_string());
-    }
+fn run_ingest(args: &[String]) -> Outcome {
+    let args = parse(ARTIFACT_FLAGS, args)?;
+    // `--events` does not apply here, but a malformed count is still an error.
+    args.number::<u64>("--events", 0..)?;
+    let input = args.single("perf-script text file")?;
+    let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
+    let (program, trace) = ispy_trace::ingest::parse_perf_script(&text)?;
+    let path = args.path("--out").unwrap_or_else(|| PathBuf::from(input).with_extension("itrace"));
+    ispy_trace::artifact::write_recording(&program, &trace, &path)?;
     eprintln!(
         "ingested {input}: {} blocks, {} events -> {}",
         program.num_blocks(),
         trace.len(),
         path.display()
     );
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ispy_harness::enginebench::BenchRow;
+    use ispy_harness::json::Json;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    type Command = fn(&[String]) -> Outcome;
+
+    /// Every subcommand entry point, with the positional arguments it needs
+    /// to get past argument checks.
+    const COMMANDS: [(Command, &str); 10] = [
+        (run_figures, "fig10"),
+        (run_figures, "explain kafka"),
+        (run_bench, ""),
+        (run_adapt_cmd, "kafka"),
+        (run_scenario_cmd, "burst"),
+        (run_record, "kafka"),
+        (run_plan, "kafka"),
+        (run_replay, "kafka.itrace"),
+        (run_ingest, "perf.txt"),
+        (run_fleet, "gen"),
+    ];
+
+    #[test]
+    fn every_subcommand_rejects_an_unknown_flag() {
+        for (cmd, positional) in COMMANDS {
+            for flag in ["--bogus", "-x", "--check=1", "--events=5"] {
+                let err = cmd(&argv(&format!("{positional} {flag}"))).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    format!("unknown flag `{flag}`"),
+                    "`{positional} {flag}`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn values_below_their_minimum_are_rejected() {
+        let cases: [(Command, &str, &str); 14] = [
+            (run_figures, "fig10 --jobs 0", "--jobs needs a thread count >= 1"),
+            (run_figures, "fig10 -j x", "--jobs needs a thread count >= 1"),
+            (run_figures, "fig10 --top 0", "--top needs a count >= 1"),
+            (run_figures, "fig10 --cache=", "--cache=DIR needs a directory"),
+            (run_figures, "fig10 --json", "--json needs a directory"),
+            (run_scenario_cmd, "burst --jobs 0", "--jobs needs a thread count >= 1"),
+            (run_scenario_cmd, "burst --events 0", "--events needs an event count >= 1"),
+            (run_adapt_cmd, "kafka --window 0", "--window needs an event count >= 1"),
+            (run_adapt_cmd, "kafka --epochs 0", "--epochs needs a round count >= 1"),
+            (run_fleet, "gen --jobs 0", "--jobs needs a thread count >= 1"),
+            (run_fleet, "gen --events 0", "--events needs an event count >= 1"),
+            (run_fleet, "gen --machines 0", "--machines needs a count >= 1"),
+            (run_fleet, "gen --cache=", "--cache=DIR needs a directory"),
+            (run_fleet, "gen --line-vote 1.5", "--line-vote needs a fraction in 0.0..=1.0"),
+        ];
+        for (cmd, line, msg) in cases {
+            assert_eq!(cmd(&argv(line)).unwrap_err().to_string(), msg, "`{line}`");
+        }
+        // `record --events` has no minimum: zero events is a valid recording.
+        let args = parse(ARTIFACT_FLAGS, &argv("kafka --events 0")).unwrap();
+        assert_eq!(args.number::<u64>("--events", 0..), Ok(Some(0)));
+    }
+
+    #[test]
+    fn getters_let_the_last_occurrence_win() {
+        let args =
+            parse(FIGURE_FLAGS, &argv("fig10 --quick --cache --test-scale --cache=d --top 3"))
+                .unwrap();
+        assert_eq!(args.scale(), Scale::test());
+        assert_eq!(args.cache(), Ok(Some(PathBuf::from("d"))));
+        assert_eq!(args.number("--top", 1..), Ok(Some(3usize)));
+        assert_eq!(args.positional, ["fig10"]);
+        let line = ["--cache", "--apps", "kafka, tomcat"].map(String::from);
+        let args = parse(FIGURE_FLAGS, &line).unwrap();
+        assert_eq!(args.cache(), Ok(Some(PathBuf::from(DEFAULT_CACHE_DIR))));
+        assert_eq!(args.list("--apps"), Some(argv("kafka tomcat")));
+        let args = parse(ARTIFACT_FLAGS, &argv("--out a -o b")).unwrap();
+        assert_eq!(args.path("--out"), Some(PathBuf::from("b")));
+        assert_eq!(parse(ARTIFACT_FLAGS, &argv("kafka")).unwrap().scale(), Scale::full());
+    }
+
+    #[test]
+    fn figure_ids_keep_the_first_occurrence_in_order() {
+        let registry: Vec<String> = figures::all().iter().map(|s| s.id.to_string()).collect();
+        assert_eq!(figure_ids(&argv("all fig10")).unwrap(), registry);
+        assert_eq!(figure_ids(&argv("fig10 all")).unwrap()[0], "fig10");
+        assert_eq!(figure_ids(&argv("all fig10")).unwrap().len(), registry.len());
+        assert_eq!(figure_ids(&argv("fig11 fig10 fig11")).unwrap(), ["fig11", "fig10"]);
+        assert!(figure_ids(&argv("fig10 nope")).unwrap_err().contains("unknown experiment `nope`"));
+    }
+
+    /// A temp copy of the committed history, unique per process.
+    fn history_copy(tag: &str) -> PathBuf {
+        let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
+        let dir =
+            std::env::temp_dir().join(format!("ispy-repro-bench-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bench.json");
+        std::fs::copy(committed, &path).unwrap();
+        path
+    }
+
+    /// A quick-sizing run measuring `factor` times the latest committed
+    /// quick entry on every row.
+    fn run_at(path: &Path, factor: f64) -> BenchRun {
+        const ROWS: [&str; 9] = [
+            "baseline",
+            "injected",
+            "injected_replay",
+            "injected_ledger",
+            "hw_prefetcher",
+            "stream_replay",
+            "scenario_replay",
+            "replan_full",
+            "replan_delta",
+        ];
+        let doc = enginebench::load_history(path).unwrap();
+        let entry = enginebench::latest_entry(&doc, true).unwrap();
+        let rows = ROWS
+            .iter()
+            .map(|&name| BenchRow {
+                name,
+                blocks_per_sec: factor * enginebench::entry_row(entry, name).unwrap(),
+                peak_rss_bytes: None,
+            })
+            .collect();
+        BenchRun { app: "cassandra".to_string(), events: 50_000, reps: 3, quick: true, rows }
+    }
+
+    fn history(path: &Path) -> Vec<Json> {
+        let doc = enginebench::load_history(path).unwrap();
+        doc.get("history").and_then(Json::as_arr).unwrap().to_vec()
+    }
+
+    #[test]
+    fn append_grows_the_history_by_exactly_one_entry() {
+        let path = history_copy("append");
+        let before = history(&path);
+        let run = run_at(&path, 1.0);
+        judge_bench(&run, &path, true, Some("ci_smoke")).unwrap();
+        let after = history(&path);
+        assert_eq!(after.len(), before.len() + 1);
+        assert_eq!(after[..before.len()], before[..], "earlier entries must not change");
+        let expected = enginebench::history_entry(&run, "ci_smoke");
+        assert_eq!(after.last(), Some(&Json::parse(&expected.to_pretty()).unwrap()));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_failing_check_appends_nothing() {
+        let path = history_copy("breach");
+        let bytes = std::fs::read(&path).unwrap();
+        let err = judge_bench(&run_at(&path, 0.5), &path, true, Some("ci_smoke"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.starts_with("throughput floor breached: injected:"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
 }

@@ -191,7 +191,8 @@ mod tests {
     use ispy_trace::apps;
 
     fn tmp_cache(tag: &str) -> ArtifactCache {
-        let dir = std::env::temp_dir().join(format!("ispy-cache-test-{tag}"));
+        let dir =
+            std::env::temp_dir().join(format!("ispy-cache-test-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         ArtifactCache::new(dir, Scale::test())
     }

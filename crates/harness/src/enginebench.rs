@@ -1,6 +1,4 @@
-//! The engine-throughput benchmark core, shared by the `ispy-bench` bench
-//! target (`cargo bench -p ispy-bench --bench engine`) and the `repro bench`
-//! subcommand so both measure *exactly* the same thing.
+//! The engine-throughput benchmark behind `repro bench`.
 //!
 //! The benchmark replays one workload (cassandra, miss-derived plan touching
 //! all four prefetch-op kinds) through [`ispy_sim::run`] in seven replay
@@ -34,8 +32,9 @@
 //! the best of the remaining `reps` is reported as blocks/sec.
 //!
 //! Results accumulate in the committed `BENCH_engine.json` as an ordered
-//! `history` array — every `--json` run appends a labelled entry rather
-//! than overwriting, so the perf trajectory across reworks stays visible.
+//! `history` array — every `repro bench --append LABEL` run appends a
+//! labelled entry rather than overwriting, so the perf trajectory across
+//! reworks stays visible.
 
 use crate::adapt::replan_workload;
 use crate::json::Json;
@@ -155,8 +154,7 @@ fn measure(events: usize, reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Runs the full benchmark at the given sizing and returns every
-/// measured row. This is the single definition of "the engine bench" — the
-/// bench binary and `repro bench` both call it.
+/// measured row.
 pub fn run_engine_bench(quick: bool) -> BenchRun {
     let reps = if quick { QUICK_REPS } else { FULL_REPS };
     let w = prepare(quick);
@@ -394,7 +392,8 @@ mod tests {
 
     #[test]
     fn history_appends_and_latest_entry_filters_by_sizing() {
-        let dir = std::env::temp_dir().join("ispy_enginebench_test");
+        let dir =
+            std::env::temp_dir().join(format!("ispy_enginebench_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("hist.json");
         let _ = std::fs::remove_file(&path);

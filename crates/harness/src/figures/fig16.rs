@@ -2,7 +2,7 @@
 
 use crate::report::{pct, Table};
 use crate::session::Session;
-use ispy_sim::SimConfig;
+use ispy_sim::{RunOptions, SimConfig};
 
 /// Apps the paper varies inputs for (they have the richest input families).
 pub const APPS: [&str; 3] = ["drupal", "mediawiki", "wordpress"];
@@ -14,7 +14,7 @@ pub const INPUTS: usize = 5;
 /// on five inputs; reported as fraction of the ideal cache's speedup on each
 /// input.
 ///
-/// Each (app × input) cell — four simulations over a freshly recorded
+/// Each (app × input) cell — four simulations over one freshly recorded
 /// variant trace — is an independent grid point fanned out across the
 /// thread pool; rows are assembled in (app, input) order afterwards.
 /// Apps missing from the session (a `repro --apps` subset) are skipped
@@ -38,12 +38,16 @@ pub fn run(session: &Session) -> Table {
         let ctx = &session.apps()[pos];
         let c = session.comparison(pos);
         let scfg = SimConfig::default();
-        let base = ctx.simulate_variant(k, events, &scfg, None);
-        let ideal = ctx.simulate_variant(k, events, &SimConfig::ideal(), None);
+        let trace = ctx.variant_trace(k, events);
+        let replay = |cfg: &SimConfig, compiled| {
+            ispy_sim::run(&ctx.program, &trace, cfg, RunOptions { compiled, ..Default::default() })
+        };
+        let base = replay(&scfg, None);
+        let ideal = replay(&SimConfig::ideal(), None);
         // The plans were lowered once with the comparison; every drift cell
         // replays the compiled form instead of re-lowering the BTree map.
-        let asmdb = ctx.simulate_variant_compiled(k, events, &scfg, &c.asmdb_compiled);
-        let ispy = ctx.simulate_variant_compiled(k, events, &scfg, &c.ispy_compiled);
+        let asmdb = replay(&scfg, Some(&c.asmdb_compiled));
+        let ispy = replay(&scfg, Some(&c.ispy_compiled));
         (asmdb.fraction_of_ideal(&base, &ideal), ispy.fraction_of_ideal(&base, &ideal))
     });
     let mut worst_ispy: f64 = 1.0;

@@ -272,7 +272,8 @@ mod tests {
     use ispy_sim::SimConfig;
 
     fn service() -> PlanService {
-        let dir = std::env::temp_dir().join("ispy_fleet_baseline_test");
+        let dir =
+            std::env::temp_dir().join(format!("ispy_fleet_baseline_test_{}", std::process::id()));
         PlanService::new(dir.join("fleet"), dir.join("cache"), Scale::test())
     }
 

@@ -5,7 +5,7 @@ use ispy_core::planner::Plan;
 use ispy_core::{IspyConfig, Planner, PlannerBaseline};
 use ispy_profile::{profile, Profile, SampleRate};
 use ispy_sim::{run, OutcomeLedger, RunOptions, SimConfig, SimResult};
-use ispy_trace::{apps, AppModel, InputSpec, Program, Trace};
+use ispy_trace::{apps, AppModel, Program, Trace};
 use std::sync::{Arc, OnceLock};
 
 /// How big the experiments are.
@@ -128,36 +128,10 @@ impl AppContext {
         )
     }
 
-    /// Records a trace of input variant `k` (0 = the profiled input) and
-    /// runs it with optional injections — the Fig. 16 drift experiment.
-    pub fn simulate_variant(
-        &self,
-        k: usize,
-        events: usize,
-        cfg: &SimConfig,
-        injections: Option<&ispy_isa::InjectionMap>,
-    ) -> SimResult {
-        let input: InputSpec = self.model.input_variant(k);
-        let trace = self.program.record_trace(input, events);
-        run(&self.program, &trace, cfg, RunOptions { injections, ..Default::default() })
-    }
-
-    /// [`AppContext::simulate_variant`] with a pre-lowered plan.
-    pub fn simulate_variant_compiled(
-        &self,
-        k: usize,
-        events: usize,
-        cfg: &SimConfig,
-        compiled: &ispy_isa::CompiledInjections,
-    ) -> SimResult {
-        let input: InputSpec = self.model.input_variant(k);
-        let trace = self.program.record_trace(input, events);
-        run(
-            &self.program,
-            &trace,
-            cfg,
-            RunOptions { compiled: Some(compiled), ..Default::default() },
-        )
+    /// Records `events` blocks of input variant `k` (0 = the profiled
+    /// input) — the Fig. 16 drift experiment replays plans over these.
+    pub fn variant_trace(&self, k: usize, events: usize) -> Trace {
+        self.program.record_trace(self.model.input_variant(k), events)
     }
 }
 
@@ -387,7 +361,8 @@ mod tests {
     fn variant_simulation_runs() {
         let s = tiny_session();
         let ctx = &s.apps()[0];
-        let r = ctx.simulate_variant(1, 10_000, &SimConfig::default(), None);
+        let trace = ctx.variant_trace(1, 10_000);
+        let r = run(&ctx.program, &trace, &SimConfig::default(), RunOptions::default());
         assert_eq!(r.blocks, 10_000);
     }
 
@@ -418,8 +393,13 @@ mod tests {
         assert_eq!(ctx.simulate(&scfg, Some(&c.asmdb_plan.injections)), c.asmdb);
         assert_eq!(ctx.simulate(&scfg, Some(&c.ispy_plan.injections)), c.ispy);
         // And a drift-input replay agrees between the two forms too.
-        let via_map = ctx.simulate_variant(1, 10_000, &scfg, Some(&c.ispy_plan.injections));
-        let via_compiled = ctx.simulate_variant_compiled(1, 10_000, &scfg, &c.ispy_compiled);
+        let trace = ctx.variant_trace(1, 10_000);
+        let injections = Some(&c.ispy_plan.injections);
+        let via_map =
+            run(&ctx.program, &trace, &scfg, RunOptions { injections, ..Default::default() });
+        let compiled = Some(&c.ispy_compiled);
+        let via_compiled =
+            run(&ctx.program, &trace, &scfg, RunOptions { compiled, ..Default::default() });
         assert_eq!(via_map, via_compiled);
     }
 

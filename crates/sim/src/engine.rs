@@ -52,7 +52,7 @@ use crate::outcome::OutcomeLedger;
 use crate::switch::{SwitchEffect, SwitchSchedule};
 use ispy_artifact::ArtifactError;
 use ispy_isa::{CompiledInjections, InjectionMap, ProvenanceId};
-use ispy_trace::{Addr, BlockId, BlockSource, Line, Program, Trace};
+use ispy_trace::{Addr, BlockId, BlockSource, Line, Program, Trace, TraceBlocks};
 use std::sync::Arc;
 
 /// Data lines live in a disjoint address range from code lines.
@@ -761,10 +761,10 @@ fn block_metas(
 }
 
 /// The whole simulated machine plus replay bookkeeping, packaged so the
-/// loop can be driven over arbitrary trace windows — [`run`] replays the
-/// full trace in one call; the sharded replay
-/// ([`simulate_sharded`](crate::shard::simulate_sharded)) replays a warmup
-/// slice, snapshots, then replays its window.
+/// loop can be driven over arbitrary trace windows — [`run_streaming`]
+/// replays a source chunk by chunk; the sharded replay
+/// ([`simulate_sharded_source`](crate::shard::simulate_sharded_source))
+/// replays a warmup slice, snapshots, then replays its window.
 pub(crate) struct Engine<'o> {
     hier: Hierarchy,
     lbr: Lbr,
@@ -1369,7 +1369,8 @@ impl<'o> Engine<'o> {
     }
 }
 
-/// Replays `trace` through the simulated machine.
+/// Replays `trace` through the simulated machine: [`run_streaming`] over
+/// the trace's events as one borrowed chunk.
 ///
 /// # Panics
 ///
@@ -1388,27 +1389,9 @@ impl<'o> Engine<'o> {
 /// let result = run(&program, &trace, &SimConfig::default(), RunOptions::default());
 /// assert_eq!(result.blocks, 5_000);
 /// ```
-pub fn run(
-    program: &Program,
-    trace: &Trace,
-    cfg: &SimConfig,
-    mut opts: RunOptions<'_>,
-) -> SimResult {
-    // Lower the injection plan into its dense compiled form unless the
-    // caller already did (sweeps reuse one compiled plan across many runs).
-    let injections = lower_plan(program, &opts);
-    let mut eng = Engine::new(
-        program,
-        cfg,
-        injections,
-        opts.observer.take(),
-        opts.hw_prefetcher.take(),
-        opts.outcomes.take(),
-        opts.reference_loop,
-        false,
-    );
-    eng.replay(trace.blocks(), 0);
-    eng.result_so_far()
+pub fn run(program: &Program, trace: &Trace, cfg: &SimConfig, opts: RunOptions<'_>) -> SimResult {
+    run_streaming(program, &mut TraceBlocks::of_trace(trace), cfg, opts)
+        .expect("in-memory traces cannot fail")
 }
 
 /// Resolves a run's plan into the shared handle the engine holds: the

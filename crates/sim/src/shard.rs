@@ -2,13 +2,13 @@
 //!
 //! [`run`](crate::run) is inherently sequential: every block's outcome
 //! depends on the microarchitectural state left by every block before it.
-//! [`simulate_sharded`] trades that strict dependency for parallelism the
-//! standard way simulators do (time-sliced sampling with functional warmup):
-//! the trace is cut into fixed-size windows, each window is replayed by an
-//! independent engine that first replays the `warmup_blocks` immediately
-//! preceding the window to reconstruct warm cache/LBR/in-flight state, the
-//! warmup's counters are subtracted back out via snapshot-and-delta, and the
-//! per-window deltas are summed in window order.
+//! [`simulate_sharded_source`] trades that strict dependency for parallelism
+//! the standard way simulators do (time-sliced sampling with functional
+//! warmup): the trace is cut into fixed-size windows, each window is
+//! replayed by an independent engine that first replays the `warmup_blocks`
+//! immediately preceding the window to reconstruct warm cache/LBR/in-flight
+//! state, the warmup's counters are subtracted back out via
+//! snapshot-and-delta, and the per-window deltas are summed in window order.
 //!
 //! Two properties are load-bearing:
 //!
@@ -237,62 +237,18 @@ fn replay_source<S: BlockSource>(
     Ok(())
 }
 
-/// Replays `trace` in parallel time slices and returns the stitched-up
-/// counters; see the [module docs](self) for the windowing semantics.
+/// Replays any [`WindowedBlockSource`] in parallel time slices and returns
+/// the stitched-up counters; see the [module docs](self) for the windowing
+/// semantics. Pass a [`SliceWindows`] for a materialized trace, a
+/// [`GenWindows`] for one too large to materialize: a generator-backed
+/// source over the same event sequence reproduces the slice-backed results
+/// byte-for-byte (pinned by the `streaming` suite).
 ///
 /// `outcomes` works like [`RunOptions::outcomes`](crate::RunOptions): each
 /// window attributes its events to a private ledger and the per-window
 /// deltas are merged into the caller's. Observers and hardware prefetchers
 /// are not supported here — both assume they see the whole sequential
 /// stream.
-///
-/// # Panics
-///
-/// Panics if `window_blocks` is zero or the trace references blocks outside
-/// `program`.
-///
-/// # Examples
-///
-/// ```
-/// use ispy_sim::{run, simulate_sharded, RunOptions, ShardConfig, SimConfig};
-/// use ispy_trace::apps;
-///
-/// let model = apps::tomcat().scaled_down(40);
-/// let program = model.generate();
-/// let trace = program.record_trace(model.default_input(), 5_000);
-/// let cfg = SimConfig::default();
-/// // One window covering the whole trace reproduces `run` exactly.
-/// let whole = ShardConfig { window_blocks: 5_000, warmup_blocks: 0, shards: 2 };
-/// let sharded = simulate_sharded(&program, &trace, &cfg, None, &whole, None);
-/// assert_eq!(sharded, run(&program, &trace, &cfg, RunOptions::default()));
-/// ```
-pub fn simulate_sharded(
-    program: &Program,
-    trace: &Trace,
-    cfg: &SimConfig,
-    injections: Option<&InjectionMap>,
-    shard: &ShardConfig,
-    outcomes: Option<&mut OutcomeLedger>,
-) -> SimResult {
-    simulate_sharded_source(
-        program,
-        &SliceWindows::of_trace(trace),
-        cfg,
-        injections,
-        shard,
-        outcomes,
-    )
-    .expect("slice-backed windows cannot fail")
-}
-
-/// Replays any [`WindowedBlockSource`] in parallel time slices — the
-/// source-generic core of [`simulate_sharded`], and the entry point that
-/// shards traces too large to materialize (pass a [`GenWindows`]).
-///
-/// Windows are carved by event index exactly as in [`simulate_sharded`]; a
-/// slice-backed source reproduces its results byte-for-byte, and a
-/// generator-backed source over the same event sequence does too (pinned by
-/// the `streaming` suite).
 ///
 /// # Errors
 ///
@@ -303,6 +259,23 @@ pub fn simulate_sharded(
 ///
 /// Panics if `window_blocks` is zero or the source yields blocks outside
 /// `program`.
+///
+/// # Examples
+///
+/// ```
+/// use ispy_sim::{run, simulate_sharded_source, RunOptions, ShardConfig, SimConfig, SliceWindows};
+/// use ispy_trace::apps;
+///
+/// let model = apps::tomcat().scaled_down(40);
+/// let program = model.generate();
+/// let trace = program.record_trace(model.default_input(), 5_000);
+/// let cfg = SimConfig::default();
+/// // One window covering the whole trace reproduces `run` exactly.
+/// let whole = ShardConfig { window_blocks: 5_000, warmup_blocks: 0, shards: 2 };
+/// let windows = SliceWindows::of_trace(&trace);
+/// let sharded = simulate_sharded_source(&program, &windows, &cfg, None, &whole, None).unwrap();
+/// assert_eq!(sharded, run(&program, &trace, &cfg, RunOptions::default()));
+/// ```
 pub fn simulate_sharded_source<W: WindowedBlockSource>(
     program: &Program,
     source: &W,
@@ -372,6 +345,19 @@ mod tests {
     use crate::engine::{run, RunOptions};
     use ispy_isa::{InjectionMap, PrefetchOp};
     use ispy_trace::{apps, Line};
+
+    /// Sharded replay of a materialized trace.
+    fn simulate_sharded(
+        program: &Program,
+        trace: &Trace,
+        cfg: &SimConfig,
+        injections: Option<&InjectionMap>,
+        shard: &ShardConfig,
+        outcomes: Option<&mut OutcomeLedger>,
+    ) -> SimResult {
+        let windows = SliceWindows::of_trace(trace);
+        simulate_sharded_source(program, &windows, cfg, injections, shard, outcomes).unwrap()
+    }
 
     fn workload() -> (Program, Trace, InjectionMap) {
         let model = apps::cassandra().scaled_down(30);

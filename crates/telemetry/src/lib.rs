@@ -3,7 +3,7 @@
 //!
 //! The build environment is fully offline (no `tracing`, no `metrics`
 //! facade), so this crate is a minimal, dependency-free stand-in following
-//! the `ispy-parallel` / criterion-shim precedent. It provides exactly what
+//! the `ispy-parallel` precedent. It provides exactly what
 //! the pipeline needs:
 //!
 //! * **Spans** ([`Telemetry::span`]) — monotonic wall-clock timers scoped to

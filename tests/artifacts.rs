@@ -4,7 +4,7 @@
 
 use ispy_core::{IspyConfig, Planner};
 use ispy_profile::{profile, SampleRate};
-use ispy_sim::{replay_file, run, RunOptions, SimConfig};
+use ispy_sim::{replay_stream, run, RunOptions, SimConfig};
 use ispy_trace::{apps, ingest};
 
 /// xorshift64* — a tiny seeded generator so the corruption tests are
@@ -120,11 +120,12 @@ fn ingested_dump_replays_through_the_artifact_path() {
                 0x400000/0x400800/P/-/-/4\n";
     let (program, trace) = ingest::parse_perf_script(dump).unwrap();
     program.validate().unwrap();
-    let dir = std::env::temp_dir().join("ispy-artifacts-it");
+    let dir = std::env::temp_dir().join(format!("ispy-artifacts-it-{}", std::process::id()));
     let path = dir.join("ingested.itrace");
     ispy_trace::artifact::write_recording(&program, &trace, &path).unwrap();
     let live = run(&program, &trace, &SimConfig::default(), RunOptions::default());
-    let replayed = replay_file(&path, &SimConfig::default(), RunOptions::default()).unwrap();
+    let file = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
+    let replayed = replay_stream(file, &SimConfig::default(), RunOptions::default()).unwrap();
     assert_eq!(replayed.result, live);
     assert_eq!(replayed.name, "ingested");
     std::fs::remove_dir_all(&dir).ok();

@@ -73,8 +73,11 @@ fn drifted_input_still_benefits() {
     let c = session.comparison(0);
     let scfg = ispy_sim::SimConfig::default();
     let events = 40_000;
-    let base = ctx.simulate_variant(2, events, &scfg, None);
-    let with = ctx.simulate_variant(2, events, &scfg, Some(&c.ispy_plan.injections));
+    let trace = ctx.variant_trace(2, events);
+    let base = ispy_sim::run(&ctx.program, &trace, &scfg, ispy_sim::RunOptions::default());
+    let injections = Some(&c.ispy_plan.injections);
+    let opts = ispy_sim::RunOptions { injections, ..Default::default() };
+    let with = ispy_sim::run(&ctx.program, &trace, &scfg, opts);
     assert!(
         with.cycles < base.cycles,
         "drifted input must still speed up: {} vs {}",

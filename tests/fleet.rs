@@ -43,7 +43,7 @@ fn write_members(dir: &Path, members: &[&Profile]) {
 #[test]
 fn consensus_merge_is_ingest_order_invariant() {
     let (_program, _trace, members) = member_profiles(4);
-    let root = std::env::temp_dir().join("ispy-fleet-it-shuffle");
+    let root = std::env::temp_dir().join(format!("ispy-fleet-it-shuffle-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let forward: Vec<&Profile> = members.iter().collect();
     let shuffled: Vec<&Profile> = members.iter().rev().collect();
@@ -186,7 +186,7 @@ fn incompatible_members_are_a_typed_error() {
     let foreign = profile(&program, &t, &SimConfig::default(), SampleRate::EXACT);
     let (_p, _t, members) = member_profiles(1);
 
-    let dir = std::env::temp_dir().join("ispy-fleet-it-incompat");
+    let dir = std::env::temp_dir().join(format!("ispy-fleet-it-incompat-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     write_members(&dir, &[&members[0]]);
     // A drupal-shaped profile mislabeled as kafka: same app shard, wrong
@@ -207,7 +207,7 @@ fn incompatible_members_are_a_typed_error() {
 /// telemetry counter.
 #[test]
 fn serve_tiers_progress_and_count() {
-    let root = std::env::temp_dir().join("ispy-fleet-it-serve");
+    let root = std::env::temp_dir().join(format!("ispy-fleet-it-serve-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let fleet_dir = root.join("fleet");
     std::fs::create_dir_all(&fleet_dir).unwrap();

@@ -9,8 +9,8 @@ use ispy_harness::workload::miss_derived_plan;
 use ispy_harness::{figures, Scale, Session, Table};
 use ispy_scenario::{Scenario, ScenarioSource};
 use ispy_sim::{
-    run_streaming, simulate_sharded, simulate_sharded_source, OutcomeLedger, RunOptions,
-    ShardConfig, SimConfig,
+    run_streaming, simulate_sharded_source, OutcomeLedger, RunOptions, ShardConfig, SimConfig,
+    SliceWindows,
 };
 use ispy_telemetry::{Telemetry, TimingMode};
 use ispy_trace::{apps, BlockId, BlockSource, Trace};
@@ -64,21 +64,30 @@ fn sharded_replay_is_identical_across_shard_counts() {
     let plan = miss_derived_plan(&program, &trace, &cfg);
     let base = ShardConfig { window_blocks: 4_096, warmup_blocks: 2_048, shards: 1 };
 
+    let windows = SliceWindows::of_trace(&trace);
     let mut reference_ledger = OutcomeLedger::default();
-    let reference =
-        simulate_sharded(&program, &trace, &cfg, Some(&plan), &base, Some(&mut reference_ledger));
+    let reference = simulate_sharded_source(
+        &program,
+        &windows,
+        &cfg,
+        Some(&plan),
+        &base,
+        Some(&mut reference_ledger),
+    )
+    .unwrap();
     assert!(reference.pf_ops_fired > 0, "plan must actually exercise the engine");
 
     for shards in [2, 4, 8] {
         let mut ledger = OutcomeLedger::default();
-        let got = simulate_sharded(
+        let got = simulate_sharded_source(
             &program,
-            &trace,
+            &windows,
             &cfg,
             Some(&plan),
             &ShardConfig { shards, ..base },
             Some(&mut ledger),
-        );
+        )
+        .unwrap();
         assert_eq!(got, reference, "SimResult diverged at shards={shards}");
         assert_eq!(ledger, reference_ledger, "OutcomeLedger diverged at shards={shards}");
     }

@@ -7,8 +7,8 @@
 
 use ispy_artifact::ArtifactError;
 use ispy_sim::{
-    replay_bytes, replay_stream, run, run_streaming, simulate_sharded, simulate_sharded_source,
-    GenWindows, RunOptions, ShardConfig, SimConfig,
+    replay_stream, run, run_streaming, simulate_sharded_source, GenWindows, RunOptions,
+    ShardConfig, SimConfig, SliceWindows,
 };
 use ispy_trace::artifact::{open_recording_stream, recording_to_bytes, RecordingWriter};
 use ispy_trace::{apps, AppModel, BlockSource, TraceBlocks, Walker, WalkerSource};
@@ -130,7 +130,15 @@ fn sharded_from_generator_equals_sharded_from_trace() {
     let (program, trace) = workload(&model);
     for shards in [1usize, 2, 4] {
         let shard = ShardConfig { window_blocks: 2_048, warmup_blocks: 512, shards };
-        let materialized = simulate_sharded(&program, &trace, &cfg, None, &shard, None);
+        let materialized = simulate_sharded_source(
+            &program,
+            &SliceWindows::of_trace(&trace),
+            &cfg,
+            None,
+            &shard,
+            None,
+        )
+        .unwrap();
         let gen = GenWindows::for_shards(
             Walker::new(&program, scaled.default_input()),
             EVENTS as u64,
@@ -149,7 +157,8 @@ fn truncation_is_always_a_typed_error() {
     let model = apps::drupal();
     let (program, trace) = workload(&model);
     let bytes = recording_to_bytes(&program, &trace);
-    let whole = replay_bytes(&bytes, &SimConfig::default(), RunOptions::default()).unwrap();
+    let whole =
+        replay_stream(bytes.as_slice(), &SimConfig::default(), RunOptions::default()).unwrap();
     for keep_fraction in [30, 60, 90, 99] {
         let cut = bytes.len() * keep_fraction / 100;
         let err = replay_stream(&bytes[..cut], &SimConfig::default(), RunOptions::default())
