@@ -90,6 +90,20 @@ pub fn discover(
     Some(ContextChoice { blocks, probability: p, support, baseline })
 }
 
+/// Superset sums over `n` mask bits (the SOS DP, O(n·2ⁿ)): entry `s` of the
+/// result is the sum of `values[m]` over every mask `m ⊇ s`.
+fn superset_sums(mut values: Vec<u64>, n: usize) -> Vec<u64> {
+    values.truncate(1 << n);
+    for bit in 0..n {
+        for s in 0..values.len() {
+            if s & (1 << bit) == 0 {
+                values[s] += values[s | (1 << bit)];
+            }
+        }
+    }
+    values
+}
+
 /// Greedy multi-context discovery.
 ///
 /// One context often cannot cover a miss reached from many calling contexts
@@ -112,28 +126,48 @@ pub fn discover_multi(
     min_prob: f64,
     max_contexts: usize,
 ) -> (Vec<ContextChoice>, f64) {
-    let n = candidates.len();
-    if n == 0 || max_contexts == 0 {
-        return (Vec::new(), 0.0);
-    }
-    let Some(baseline) = counts.conditional_probability(0) else {
+    let Some((chosen, coverage, subsets_evaluated)) = greedy_cover(
+        counts,
+        candidates,
+        ctx_size,
+        min_support,
+        gain_margin,
+        min_prob,
+        max_contexts,
+    ) else {
         return (Vec::new(), 0.0);
     };
-    let size = 1usize << n;
-    // Superset sums (SOS DP): occ_sup[s] = Σ_{M ⊇ s} occurrences[M].
-    let mut occ_sup = counts.occurrences.clone();
-    let mut hit_sup = counts.hits.clone();
-    for bit in 0..n {
-        for s in 0..size {
-            if s & (1 << bit) == 0 {
-                occ_sup[s] += occ_sup[s | (1 << bit)];
-                hit_sup[s] += hit_sup[s | (1 << bit)];
-            }
-        }
+    // Mining-depth accounting: how much subset space each query explored.
+    let tele = ispy_telemetry::global();
+    tele.add("core.context.queries", 1);
+    tele.add("core.context.subsets_evaluated", subsets_evaluated);
+    tele.add("core.context.contexts_adopted", chosen.len() as u64);
+    (chosen, coverage)
+}
+
+/// [`discover_multi`]'s search, also returning how many subsets it
+/// evaluated; `None` when there is nothing to search (no candidates, no
+/// context slots, no site occurrences or no hits).
+fn greedy_cover(
+    counts: &JointCounts,
+    candidates: &[BlockId],
+    ctx_size: usize,
+    min_support: u64,
+    gain_margin: f64,
+    min_prob: f64,
+    max_contexts: usize,
+) -> Option<(Vec<ContextChoice>, f64, u64)> {
+    let n = candidates.len();
+    if n == 0 || max_contexts == 0 {
+        return None;
     }
+    let baseline = counts.conditional_probability(0)?;
+    let size = 1usize << n;
+    let occ_sup = superset_sums(counts.occurrences.clone(), n);
+    let hit_sup = superset_sums(counts.hits.clone(), n);
     let total_hits: u64 = counts.hits.iter().sum();
     if total_hits == 0 {
-        return (Vec::new(), 0.0);
+        return None;
     }
     let threshold = (baseline + gain_margin).max(min_prob);
     let mut covered = vec![false; size];
@@ -142,6 +176,11 @@ pub fn discover_multi(
     let mut subsets_evaluated = 0u64;
 
     while chosen.len() < max_contexts {
+        // new_sup[s] = the not-yet-covered hits of every mask containing s:
+        // one superset sum per round instead of a 2^n scan per subset.
+        let uncovered: Vec<u64> =
+            counts.hits.iter().zip(&covered).map(|(&h, &c)| if c { 0 } else { h }).collect();
+        let new_sup = superset_sums(uncovered, n);
         let mut best: Option<(u64, f64, u64, usize)> = None; // (new, p, support, mask)
         for s in 1..size {
             subsets_evaluated += 1;
@@ -156,8 +195,7 @@ pub fn discover_multi(
             if p < threshold {
                 continue;
             }
-            let new_hits: u64 =
-                (0..size).filter(|&m| m & s == s && !covered[m]).map(|m| counts.hits[m]).sum();
+            let new_hits = new_sup[s];
             if new_hits == 0 {
                 continue;
             }
@@ -176,7 +214,7 @@ pub fn discover_multi(
             }
         }
         let Some((new_hits, p, support, mask)) = best else { break };
-        for (m, c) in covered.iter_mut().enumerate().take(size) {
+        for (m, c) in covered.iter_mut().enumerate() {
             if m & mask == mask {
                 *c = true;
             }
@@ -186,12 +224,7 @@ pub fn discover_multi(
             (0..n).filter(|i| mask & (1 << i) != 0).map(|i| candidates[i]).collect();
         chosen.push(ContextChoice { blocks, probability: p, support, baseline });
     }
-    // Mining-depth accounting: how much subset space each query explored.
-    let tele = ispy_telemetry::global();
-    tele.add("core.context.queries", 1);
-    tele.add("core.context.subsets_evaluated", subsets_evaluated);
-    tele.add("core.context.contexts_adopted", chosen.len() as u64);
-    (chosen, covered_hits as f64 / total_hits as f64)
+    Some((chosen, covered_hits as f64 / total_hits as f64, subsets_evaluated))
 }
 
 #[cfg(test)]
@@ -332,5 +365,135 @@ mod tests {
         assert_eq!(ctx.blocks, vec![b(100), b(200)]);
         assert!((ctx.probability - 1.0).abs() < 1e-12);
         assert!((ctx.baseline - 2.0 / 6.0).abs() < 1e-12);
+    }
+
+    /// Reference for [`greedy_cover`]: the direct O(4ⁿ)-per-round form, in
+    /// which each qualifying subset rescans every mask for its uncovered
+    /// hits.
+    fn reference_cover(
+        counts: &JointCounts,
+        candidates: &[BlockId],
+        ctx_size: usize,
+        min_support: u64,
+        gain_margin: f64,
+        min_prob: f64,
+        max_contexts: usize,
+    ) -> Option<(Vec<ContextChoice>, f64, u64)> {
+        let n = candidates.len();
+        if n == 0 || max_contexts == 0 {
+            return None;
+        }
+        let baseline = counts.conditional_probability(0)?;
+        let size = 1usize << n;
+        let mut occ_sup = counts.occurrences.clone();
+        let mut hit_sup = counts.hits.clone();
+        for bit in 0..n {
+            for s in 0..size {
+                if s & (1 << bit) == 0 {
+                    occ_sup[s] += occ_sup[s | (1 << bit)];
+                    hit_sup[s] += hit_sup[s | (1 << bit)];
+                }
+            }
+        }
+        let total_hits: u64 = counts.hits.iter().sum();
+        if total_hits == 0 {
+            return None;
+        }
+        let threshold = (baseline + gain_margin).max(min_prob);
+        let mut covered = vec![false; size];
+        let mut chosen: Vec<ContextChoice> = Vec::new();
+        let mut covered_hits = 0u64;
+        let mut subsets_evaluated = 0u64;
+        while chosen.len() < max_contexts {
+            let mut best: Option<(u64, f64, u64, usize)> = None;
+            for s in 1..size {
+                subsets_evaluated += 1;
+                if (s.count_ones() as usize) > ctx_size {
+                    continue;
+                }
+                let support = occ_sup[s];
+                if support < min_support {
+                    continue;
+                }
+                let p = hit_sup[s] as f64 / support as f64;
+                if p < threshold {
+                    continue;
+                }
+                let new_hits: u64 =
+                    (0..size).filter(|&m| m & s == s && !covered[m]).map(|m| counts.hits[m]).sum();
+                if new_hits == 0 {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some((bn, bp, _, bmask)) => {
+                        new_hits > bn
+                            || (new_hits == bn
+                                && (p > bp + 1e-12
+                                    || ((p - bp).abs() <= 1e-12
+                                        && s.count_ones() < bmask.count_ones())))
+                    }
+                };
+                if better {
+                    best = Some((new_hits, p, support, s));
+                }
+            }
+            let Some((new_hits, p, support, mask)) = best else { break };
+            for (m, c) in covered.iter_mut().enumerate() {
+                if m & mask == mask {
+                    *c = true;
+                }
+            }
+            covered_hits += new_hits;
+            let blocks: Vec<BlockId> =
+                (0..n).filter(|i| mask & (1 << i) != 0).map(|i| candidates[i]).collect();
+            chosen.push(ContextChoice { blocks, probability: p, support, baseline });
+        }
+        Some((chosen, covered_hits as f64 / total_hits as f64, subsets_evaluated))
+    }
+
+    #[test]
+    fn greedy_cover_matches_reference_on_random_counts() {
+        use ispy_trace::rng::Pcg32;
+        let mut rng = Pcg32::seed_from_u64(0xc0de_0f06);
+        let mut adopted = 0;
+        for case in 0..400 {
+            let n = rng.below(9) as usize;
+            let size = 1usize << n;
+            // Sparse, skewed occurrence masks like real LBR joint counts,
+            // hits never above occurrences.
+            let occurrences: Vec<u64> =
+                (0..size).map(|_| if rng.below(3) == 0 { 0 } else { rng.below(60) }).collect();
+            let hits: Vec<u64> = occurrences.iter().map(|&o| rng.below(o + 1)).collect();
+            let counts = JointCounts { occurrences, hits };
+            let candidates: Vec<BlockId> = (0..n as u32).map(|i| b(100 + i)).collect();
+            let ctx_size = rng.below(n as u64 + 2) as usize;
+            let min_support = rng.below(40);
+            let gain_margin = rng.below(20) as f64 / 100.0;
+            let min_prob = rng.below(80) as f64 / 100.0;
+            let max_contexts = rng.below(5) as usize;
+            let args = (ctx_size, min_support, gain_margin, min_prob, max_contexts);
+            let got = greedy_cover(
+                &counts,
+                &candidates,
+                ctx_size,
+                min_support,
+                gain_margin,
+                min_prob,
+                max_contexts,
+            );
+            let want = reference_cover(
+                &counts,
+                &candidates,
+                ctx_size,
+                min_support,
+                gain_margin,
+                min_prob,
+                max_contexts,
+            );
+            assert_eq!(got, want, "case {case}: n {n}, args {args:?}");
+            adopted += got.map_or(0, |(c, _, _)| c.len());
+        }
+        assert!(adopted > 100, "the cases must exercise multi-round covers: {adopted}");
     }
 }

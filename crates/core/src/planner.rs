@@ -5,13 +5,18 @@ use crate::config::IspyConfig;
 use crate::context::{discover_multi, ContextChoice};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
 use crate::window::{
-    find_candidates, select_covering_sites, SelectedSite, SelectionPolicy, SiteCandidate,
+    find_candidates, search_window, select_covering_sites, SelectedSite, SelectionPolicy,
+    SiteCandidate, WindowSearch,
 };
 use ispy_isa::{ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
-use ispy_profile::{scan_joint, ContentHasher, JointCounts, JointQuery, Profile, ProfileDelta};
+use ispy_profile::scan::MAX_CANDIDATES;
+use ispy_profile::{
+    scan_joint, ContentHasher, JointCounts, JointQuery, LineMissStats, Profile, ProfileDelta,
+};
 use ispy_trace::{BlockId, Line, Program, Trace};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Aggregate statistics about a produced plan.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -106,16 +111,23 @@ pub struct Plan {
     pub provenance: Vec<ProvenanceRecord>,
 }
 
-/// Window-search parameters that shape a line's site candidates: changing
-/// any of them invalidates cached candidate lists.
-type WindowKey = (u32, u32, usize);
+/// Identity of one cached window search: the dynamic CFG it walked (by the
+/// profile's [`Profile::baseline_digest`]), the block it searched back
+/// from, the cycle ceiling and the node budget. The cycle floor is not part of it: a search runs with no
+/// floor and each plan filters it ([`WindowSearch::within`]), so every
+/// `min_prefetch_cycles` point shares one search. Content addressing makes
+/// the cache safe across profile updates — a changed CFG or a shifted
+/// dominant block simply keys a new entry instead of serving a stale one.
+type WindowKey = (u64, u32, u32, usize);
 
-/// Identity of one cached candidate search: the dynamic CFG it walked (by
-/// content digest), the block it searched back from, and the window
-/// parameters. Content addressing makes the cache safe across profile
-/// updates — a changed CFG or a shifted dominant block simply keys a new
-/// entry instead of serving a stale one.
-type CandidateKey = (u64, u32, WindowKey);
+/// Ranked history entries kept per line. The planner's pool pushes at most
+/// five CFG predecessors and skips at most two blocks (site and target)
+/// before truncating to at most [`MAX_CANDIDATES`], so the first
+/// `MAX_CANDIDATES + 8` ranked entries always suffice.
+const RANKED_KEEP: usize = MAX_CANDIDATES + 8;
+
+/// A line's lift-ranked miss-history blocks ([`Planner::rank_predictors`]).
+type Ranking = Arc<Vec<BlockId>>;
 
 /// Identity of one joint-scan query. The target positions are derived from
 /// the target block over the (fixed) trace, so the block id stands in for
@@ -130,29 +142,56 @@ struct JointKey {
     candidates: Vec<u32>,
 }
 
+/// One line's memoized outcome under one planning config
+/// ([`Planner::config_digest`]): the digest of the profile inputs it was
+/// computed from (dynamic CFG, trace dimensions, the line's miss stats),
+/// and the outcome.
+#[derive(Debug)]
+struct MemoSlot {
+    config: u64,
+    inputs: u64,
+    outcome: Arc<LineOutcome>,
+}
+
 /// Reusable, thread-safe caches for [`Planner::plan`]'s staged
-/// intermediates:
+/// intermediates, each keyed on exactly the inputs its stage reads:
 ///
-/// * per-block trace positions (the joint queries' targets),
-/// * per-target window candidates, keyed by (dynamic-CFG digest, target
-///   block, window parameters) — content-addressed, so the cache stays
-///   valid when the profile evolves,
+/// * per-block trace positions (the joint queries' targets);
+/// * per-target window searches, keyed by (dynamic-CFG digest, target
+///   block, `max_prefetch_cycles`, `max_search_nodes`) — content-addressed
+///   through [`Profile::baseline_digest`],
+///   so the cache stays valid when the profile evolves, and shared by every
+///   `min_prefetch_cycles`;
+/// * per-line predictor rankings (miss-history blocks by lift), one slot per
+///   line under a digest of (that line's miss stats, dynamic CFG, trace
+///   length, LBR depth) — each config point only truncates the list to its
+///   `ctx_candidates`;
 /// * joint LBR statistics per (site, target, horizon, LBR depth,
 ///   candidates) query — the linear trace scans feeding
-///   [`crate::context::discover_multi`],
-/// * a per-line outcome memo keyed by a digest of everything one line's
-///   plan depends on (its miss stats, the dynamic CFG, the full config,
-///   and the trace dimensions) — the engine behind
-///   [`Planner::replan_delta`].
+///   [`crate::context::discover_multi`];
+/// * a per-line outcome memo with one slot per (line, planning config):
+///   the config part is a digest of the fields passes 1–2.5 read, with
+///   `ctx_size` reduced to the subset bound it actually imposes, and a slot
+///   holds the outcome computed from the digest of the line's other inputs
+///   (its miss stats, the dynamic CFG, the trace dimensions) — the engine
+///   behind [`Planner::replan_delta`], and the reason fig17's context sizes
+///   above the candidate count replan for free.
+///
+/// Plans whose planning configs are equal take turns on one baseline, so
+/// each (line, config, inputs) outcome is computed once whatever the thread
+/// schedule: memo hits, and the work counters they skip, do not depend on
+/// the order concurrent plans run in. Plans with different planning configs
+/// share no memo slot and run concurrently.
 ///
 /// Sensitivity sweeps (Figs. 12/17/18/19 and the ablations) replan the same
-/// app under many configs; with a shared baseline each distinct trace scan
-/// runs once instead of once per config point. A baseline is valid for one
-/// fixed (program, trace) pair — callers (the harness `Session`) keep one
-/// per prepared app. The *profile* may evolve between plans via miss-only
-/// deltas ([`ispy_profile::Profile::apply_miss_delta`]): every cached value
-/// is either a pure function of (trace, query) or keyed by content digest,
-/// so stale entries are unreachable rather than wrong.
+/// app under many configs; with a shared baseline each distinct search,
+/// ranking and trace scan runs once instead of once per config point. A
+/// baseline is valid for one fixed (program, trace) pair — callers (the
+/// harness `Session`) keep one per prepared app. The *profile* may evolve
+/// between plans via miss-only deltas
+/// ([`ispy_profile::Profile::apply_miss_delta`]): every cached value is
+/// either a pure function of (trace, query) or keyed by content digest, so
+/// stale entries are unreachable rather than wrong.
 ///
 /// [`Planner::plan_with_baseline`] is bit-identical to [`Planner::plan`]:
 /// cached values are exactly what the fresh computation would produce, and
@@ -163,9 +202,14 @@ struct JointKey {
 #[derive(Debug, Default)]
 pub struct PlannerBaseline {
     positions: Mutex<HashMap<u32, Arc<Vec<u32>>>>,
-    candidates: Mutex<HashMap<CandidateKey, Arc<Vec<SiteCandidate>>>>,
+    windows: Mutex<HashMap<WindowKey, Arc<WindowSearch>>>,
+    /// One slot per line: (digest, ranking).
+    rankings: Mutex<HashMap<u64, (u64, Ranking)>>,
     joint: Mutex<HashMap<JointKey, Arc<JointCounts>>>,
-    line_memo: Mutex<HashMap<u64, (u64, Arc<LineOutcome>)>>,
+    line_memo: Mutex<HashMap<u64, Vec<MemoSlot>>>,
+    memo_hits: AtomicU64,
+    /// One turn-taking lock per planning config digest.
+    config_turns: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
 }
 
 impl PlannerBaseline {
@@ -174,47 +218,74 @@ impl PlannerBaseline {
         Self::default()
     }
 
-    /// Window candidates for one target block under `planner`'s window
-    /// parameters, computed once per distinct (CFG, target, params) triple.
-    fn candidates_for(
+    /// The window search for one target block under `planner`'s cycle
+    /// ceiling and node budget, run once per distinct (CFG, target, ceiling,
+    /// budget).
+    fn window_for(
         &self,
         planner: &Planner,
-        dyncfg_digest: u64,
+        profile_digest: u64,
         target_block: BlockId,
-    ) -> Arc<Vec<SiteCandidate>> {
+    ) -> Arc<WindowSearch> {
         let cfg = &planner.cfg;
-        let key: CandidateKey = (
-            dyncfg_digest,
-            target_block.0,
-            (cfg.min_prefetch_cycles, cfg.max_prefetch_cycles, cfg.max_search_nodes),
-        );
-        let mut cache = self.candidates.lock().expect("candidates lock");
-        if let Some(v) = cache.get(&key) {
-            return Arc::clone(v);
+        let key: WindowKey =
+            (profile_digest, target_block.0, cfg.max_prefetch_cycles, cfg.max_search_nodes);
+        let mut cache = self.windows.lock().expect("windows lock");
+        Arc::clone(cache.entry(key).or_insert_with(|| {
+            Arc::new(search_window(
+                &planner.profile.cfg,
+                target_block,
+                cfg.max_prefetch_cycles,
+                cfg.max_search_nodes,
+            ))
+        }))
+    }
+
+    /// `line_raw`'s predictor ranking under `digest`, computed on a miss.
+    fn ranking_for(
+        &self,
+        line_raw: u64,
+        digest: u64,
+        compute: impl FnOnce() -> Vec<BlockId>,
+    ) -> Ranking {
+        let mut cache = self.rankings.lock().expect("rankings lock");
+        match cache.get(&line_raw) {
+            Some((d, v)) if *d == digest => Arc::clone(v),
+            _ => {
+                let v = Arc::new(compute());
+                cache.insert(line_raw, (digest, Arc::clone(&v)));
+                v
+            }
         }
-        let v = Arc::new(find_candidates(
-            &planner.profile.cfg,
-            target_block,
-            cfg.min_prefetch_cycles,
-            cfg.max_prefetch_cycles,
-            cfg.max_search_nodes,
-        ));
-        cache.insert(key, Arc::clone(&v));
-        v
     }
 
-    /// The memoized outcome for `line_raw`, if its stored digest matches.
-    fn memo_lookup(&self, line_raw: u64, digest: u64) -> Option<Arc<LineOutcome>> {
+    /// The lock that plans under planning config `config` take turns on.
+    fn config_turn(&self, config: u64) -> Arc<Mutex<()>> {
+        let mut turns = self.config_turns.lock().expect("turns lock");
+        Arc::clone(turns.entry(config).or_default())
+    }
+
+    /// The memoized outcome for `line_raw` under `config`, if its stored
+    /// inputs digest matches.
+    fn memo_lookup(&self, line_raw: u64, config: u64, inputs: u64) -> Option<Arc<LineOutcome>> {
         let cache = self.line_memo.lock().expect("memo lock");
-        cache.get(&line_raw).filter(|(d, _)| *d == digest).map(|(_, o)| Arc::clone(o))
+        let slot =
+            cache.get(&line_raw)?.iter().find(|s| s.config == config && s.inputs == inputs)?;
+        self.memo_hits.fetch_add(1, AtomicOrdering::Relaxed);
+        Some(Arc::clone(&slot.outcome))
     }
 
-    /// Stores (overwriting) one line's outcome under its digest.
-    fn memo_store(&self, line_raw: u64, digest: u64, outcome: Arc<LineOutcome>) {
-        self.line_memo.lock().expect("memo lock").insert(line_raw, (digest, outcome));
+    /// Stores one line's outcome, overwriting the line's slot for `config`.
+    fn memo_store(&self, line_raw: u64, config: u64, inputs: u64, outcome: Arc<LineOutcome>) {
+        let mut cache = self.line_memo.lock().expect("memo lock");
+        let slots = cache.entry(line_raw).or_default();
+        match slots.iter_mut().find(|s| s.config == config) {
+            Some(slot) => *slot = MemoSlot { config, inputs, outcome },
+            None => slots.push(MemoSlot { config, inputs, outcome }),
+        }
     }
 
-    /// Drops the memo slots of `lines` (the digest check would reject them
+    /// Drops every memo slot of `lines` (the digest check would reject them
     /// anyway; eager removal keeps the map from accumulating dead slots).
     fn invalidate_lines(&self, lines: &[Line]) {
         let mut cache = self.line_memo.lock().expect("memo lock");
@@ -223,9 +294,15 @@ impl PlannerBaseline {
         }
     }
 
-    /// Number of memoized per-line outcomes (diagnostics).
+    /// Number of memoized (line, planning config) outcomes (diagnostics).
     pub fn memo_len(&self) -> usize {
-        self.line_memo.lock().expect("memo lock").len()
+        self.line_memo.lock().expect("memo lock").values().map(Vec::len).sum()
+    }
+
+    /// Per-line outcomes served from the memo so far, over every plan made
+    /// with this baseline (diagnostics).
+    pub fn memo_hits(&self) -> u64 {
+        self.memo_hits.load(AtomicOrdering::Relaxed)
     }
 
     /// Trace positions for each of `blocks`, filling any uncached ones in
@@ -310,7 +387,6 @@ struct LineMeta {
 /// One miss line's planning state between passes.
 struct Pending {
     site: SelectedSite,
-    line: Line,
     /// Index of this entry's query in the joint scan, if one was issued.
     query: Option<usize>,
     /// Predictor candidates the query covered.
@@ -379,21 +455,17 @@ impl<'a> Planner<'a> {
         &self.cfg
     }
 
-    /// Predictor-candidate pool for one (site, target): the site's dynamic
-    /// predecessors (Fig. 6's path-into-the-site blocks) plus miss-history
-    /// blocks ranked by lift over their base rate.
-    fn predictor_candidates(
-        &self,
-        line_stats: &ispy_profile::LineMissStats,
-        site_block: BlockId,
-        target_block: BlockId,
-    ) -> Vec<BlockId> {
+    /// A line's miss-history blocks with presence ≥ 5% of its misses and a
+    /// lift ≥ 1.2 over their base rate, strongest lift first (ties by block
+    /// id), cut to the first [`RANKED_KEEP`]. This half of the predictor
+    /// pool reads no config and no site, so it is computed once per line.
+    fn rank_predictors(&self, line_stats: &LineMissStats) -> Vec<BlockId> {
         let trace_len = self.profile.trace_len.max(1) as f64;
         let depth = self.profile.lbr_depth as f64;
-        let mut scored: Vec<(f64, f64, BlockId)> = line_stats
-            .ranked_predictors(&[site_block, target_block])
-            .into_iter()
-            .filter_map(|(b, pres)| {
+        let mut scored: Vec<(f64, BlockId)> = line_stats
+            .history_presence
+            .iter()
+            .filter_map(|(&b, &pres)| {
                 let frac = pres as f64 / line_stats.count as f64;
                 // Keep even low-presence candidates: each may predict only
                 // its own calling context's share of the instances
@@ -404,14 +476,31 @@ impl<'a> Planner<'a> {
                 let expected =
                     (self.profile.cfg.exec_count(b) as f64 * depth / trace_len).clamp(1e-9, 1.0);
                 let lift = frac / expected;
-                (lift >= 1.2).then_some((lift, frac, b))
+                (lift >= 1.2).then_some((lift, b))
             })
             .collect();
-        scored.sort_by(|a, b| {
+        let by_lift = |a: &(f64, BlockId), b: &(f64, BlockId)| {
             b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.2 .0.cmp(&b.2 .0))
-        });
+                .then_with(|| a.1 .0.cmp(&b.1 .0))
+        };
+        if scored.len() > RANKED_KEEP {
+            scored.select_nth_unstable_by(RANKED_KEEP - 1, by_lift);
+            scored.truncate(RANKED_KEEP);
+        }
+        scored.sort_unstable_by(by_lift);
+        scored.into_iter().map(|(_, b)| b).collect()
+    }
+
+    /// Predictor-candidate pool for one (site, target): the site's dynamic
+    /// predecessors (Fig. 6's path-into-the-site blocks) plus the line's
+    /// `ranked` miss-history blocks ([`Planner::rank_predictors`]).
+    fn predictor_candidates(
+        &self,
+        ranked: &[BlockId],
+        site_block: BlockId,
+        target_block: BlockId,
+    ) -> Vec<BlockId> {
         // Blocks on the paths *into the site* are the strongest
         // discriminators: at run time the LBR provably contains the site's
         // recent predecessors.
@@ -430,10 +519,10 @@ impl<'a> Planner<'a> {
                 push(pp, &mut predictors);
             }
         }
-        for (_, _, b) in scored {
+        for &b in ranked {
             push(b, &mut predictors);
         }
-        predictors.truncate(self.cfg.ctx_candidates.min(ispy_profile::scan::MAX_CANDIDATES));
+        predictors.truncate(self.cfg.ctx_candidates.min(MAX_CANDIDATES));
         predictors
     }
 
@@ -498,8 +587,12 @@ impl<'a> Planner<'a> {
         // One covered line's fresh (non-memoized) working state.
         struct FreshLine {
             line: Line,
-            digest: u64,
+            /// Digest of the line's profile inputs (memo and ranking key).
+            inputs: u64,
             target_block: BlockId,
+            /// The line's predictor ranking (empty when planning is
+            /// unconditional), reused by its retry sites.
+            ranked: Ranking,
             entries: Vec<Pending>,
             spares: Vec<SiteCandidate>,
             retry: Vec<Pending>,
@@ -510,16 +603,22 @@ impl<'a> Planner<'a> {
             Fresh(usize),
         }
 
-        // With a baseline, per-line outcomes are memoized under a digest of
+        // With a baseline, per-line outcomes are memoized under digests of
         // everything one line's plan depends on; a hit skips the line's
         // site selection and context discovery entirely (the delta-replan
         // fast path). `plan()` runs every line fresh through the same code.
-        let (dyncfg_digest, base_digest) = if baseline.is_some() {
-            let d = self.profile.cfg.content_digest();
-            (d, self.base_digest(d))
+        // The profile digest covers the dynamic CFG and trace dimensions.
+        let (profile_digest, config_digest) = if baseline.is_some() {
+            (self.profile.baseline_digest(), self.config_digest())
         } else {
             (0, 0)
         };
+        // Plans under one planning config take turns (see PlannerBaseline)
+        // until their line outcomes are memoized. The lock guards no data,
+        // so a turn poisoned by a panicking plan is still a turn.
+        let turn = baseline.map(|b| b.config_turn(config_digest));
+        let turn_guard = turn.as_ref().map(|t| t.lock().unwrap_or_else(PoisonError::into_inner));
+        let conditional = self.cfg.conditional && self.cfg.ctx_size > 0;
         let mut memo_hits = 0u64;
         let mut memo_misses = 0u64;
 
@@ -534,14 +633,13 @@ impl<'a> Planner<'a> {
                 continue;
             }
             stats.target_lines += 1;
-            let mut digest = 0;
+            let mut inputs = 0;
             if let Some(b) = baseline {
                 let mut h = ContentHasher::new();
-                h.write_u64(base_digest);
-                h.write_u64(line.raw());
+                h.write_u64(profile_digest);
                 h.write_u64(line_stats.content_digest());
-                digest = h.finish();
-                if let Some(outcome) = b.memo_lookup(line.raw(), digest) {
+                inputs = h.finish();
+                if let Some(outcome) = b.memo_lookup(line.raw(), config_digest, inputs) {
                     memo_hits += 1;
                     match outcome.as_ref() {
                         LineOutcome::NoDominant => stats.uncovered_lines += 1,
@@ -565,12 +663,15 @@ impl<'a> Planner<'a> {
             let Some(target_block) = line_stats.dominant_block() else {
                 stats.uncovered_lines += 1;
                 if let Some(b) = baseline {
-                    b.memo_store(line.raw(), digest, Arc::new(LineOutcome::NoDominant));
+                    let outcome = Arc::new(LineOutcome::NoDominant);
+                    b.memo_store(line.raw(), config_digest, inputs, outcome);
                 }
                 continue;
             };
             let candidates = match baseline {
-                Some(b) => b.candidates_for(self, dyncfg_digest, target_block).as_ref().clone(),
+                Some(b) => b
+                    .window_for(self, profile_digest, target_block)
+                    .within(self.cfg.min_prefetch_cycles),
                 None => find_candidates(
                     &self.profile.cfg,
                     target_block,
@@ -588,7 +689,7 @@ impl<'a> Planner<'a> {
                 min_presence: self.cfg.min_site_presence,
                 min_unconditional_precision: self.cfg.min_unconditional_precision,
                 min_conditional_precision: self.cfg.min_conditional_precision,
-                allow_conditional: self.cfg.conditional && self.cfg.ctx_size > 0,
+                allow_conditional: conditional,
             };
             let sites = select_covering_sites(
                 &candidates,
@@ -606,15 +707,17 @@ impl<'a> Planner<'a> {
                     stats.lines_no_candidates += 1;
                 }
                 if let Some(b) = baseline {
-                    b.memo_store(
-                        line.raw(),
-                        digest,
-                        Arc::new(LineOutcome::NoSites { had_candidates }),
-                    );
+                    let outcome = Arc::new(LineOutcome::NoSites { had_candidates });
+                    b.memo_store(line.raw(), config_digest, inputs, outcome);
                 }
                 continue;
             }
             stats.covered_lines += 1;
+            let ranked: Ranking = match baseline {
+                _ if !conditional => Arc::default(),
+                Some(b) => b.ranking_for(line.raw(), inputs, || self.rank_predictors(line_stats)),
+                None => Arc::new(self.rank_predictors(line_stats)),
+            };
             let chosen_blocks: Vec<BlockId> = sites.iter().map(|s| s.cand.block).collect();
             let spares: Vec<SiteCandidate> =
                 candidates.iter().filter(|c| !chosen_blocks.contains(&c.block)).copied().collect();
@@ -623,15 +726,14 @@ impl<'a> Planner<'a> {
             for site in sites {
                 let mut entry = Pending {
                     site,
-                    line,
                     query: None,
                     candidates: Vec::new(),
                     ctxs: Vec::new(),
                     dropped: false,
                 };
-                if self.cfg.conditional && self.cfg.ctx_size > 0 {
+                if conditional {
                     let predictors =
-                        self.predictor_candidates(line_stats, site.cand.block, target_block);
+                        self.predictor_candidates(&ranked, site.cand.block, target_block);
                     if !predictors.is_empty() {
                         // Label horizon: how far ahead "reaching the target"
                         // still counts. The max prefetch distance expressed
@@ -661,8 +763,9 @@ impl<'a> Planner<'a> {
             covered.push((line, Source::Fresh(fresh.len())));
             fresh.push(FreshLine {
                 line,
-                digest,
+                inputs,
                 target_block,
+                ranked,
                 entries,
                 spares,
                 retry: Vec::new(),
@@ -718,19 +821,6 @@ impl<'a> Planner<'a> {
                     // (almost) all of its coverage while raising accuracy.
                     entry.ctxs = ctxs;
                 }
-                if entry.dropped && std::env::var_os("ISPY_DEBUG").is_some() {
-                    eprintln!(
-                        "DROP site={} line={} prec={:.3} pres={:.2} uncond={:.3} cands={:?} occ={:?} hits={:?}",
-                        entry.site.cand.block,
-                        entry.line,
-                        entry.site.precision,
-                        entry.site.presence_frac,
-                        unconditional,
-                        entry.candidates,
-                        counts.occurrences,
-                        counts.hits,
-                    );
-                }
             }
         }
 
@@ -739,7 +829,7 @@ impl<'a> Planner<'a> {
         // a usable context; its remaining window candidates get one more
         // attempt (always as conditional sites). Fresh lines only: a
         // memoized line carries its retry entries in its stored outcome.
-        if self.cfg.conditional && self.cfg.ctx_size > 0 {
+        if conditional {
             let mut retry_queries: Vec<JointQuery> = Vec::new();
             let mut retry_targets: Vec<BlockId> = Vec::new();
             for fl in &mut fresh {
@@ -774,7 +864,7 @@ impl<'a> Planner<'a> {
                         continue;
                     }
                     let predictors =
-                        self.predictor_candidates(line_stats, cand.block, target_block);
+                        self.predictor_candidates(&fl.ranked, cand.block, target_block);
                     if predictors.is_empty() {
                         continue;
                     }
@@ -795,7 +885,6 @@ impl<'a> Planner<'a> {
                     retry_targets.push(target_block);
                     fl.retry.push(Pending {
                         site,
-                        line,
                         query: Some(retry_queries.len() - 1),
                         candidates: predictors,
                         ctxs: Vec::new(),
@@ -842,11 +931,13 @@ impl<'a> Planner<'a> {
                     retry: fl.retry.iter().map(MemoEntry::from_pending).collect(),
                 });
                 if let Some(b) = baseline {
-                    b.memo_store(fl.line.raw(), fl.digest, Arc::clone(&outcome));
+                    b.memo_store(fl.line.raw(), config_digest, fl.inputs, Arc::clone(&outcome));
                 }
                 outcome
             })
             .collect();
+
+        drop(turn_guard);
 
         // ---- Pass 3: group by (site, context), coalesce, emit. ------------
         // Canonical order, independent of the memo/fresh split: every
@@ -984,23 +1075,22 @@ impl<'a> Planner<'a> {
         Plan { injections, stats, context_details, provenance }
     }
 
-    /// Config+profile-shape digest shared by every line digest of one plan:
-    /// the dynamic CFG, the trace dimensions, and the full [`IspyConfig`].
-    fn base_digest(&self, dyncfg_digest: u64) -> u64 {
+    /// The planning config: a digest of the [`IspyConfig`] fields passes
+    /// 1–2.5 read, the config half of every line-memo key. Pass 3's fields
+    /// (`coalescing`, `coalesce_bits`, `hash`) are left out, and `ctx_size`
+    /// enters only as the subset-size bound it imposes: context queries
+    /// never have more than `min(ctx_candidates, MAX_CANDIDATES)`
+    /// candidates, so larger sizes behave alike, while 0 (context discovery
+    /// off) stays distinct.
+    fn config_digest(&self) -> u64 {
         let c = &self.cfg;
         let mut h = ContentHasher::new();
-        h.write_u64(dyncfg_digest);
-        h.write_usize(self.profile.trace_len);
-        h.write_usize(self.profile.lbr_depth);
         h.write_u32(c.min_prefetch_cycles);
         h.write_u32(c.max_prefetch_cycles);
-        h.write_u32(u32::from(c.coalesce_bits));
-        h.write_usize(c.ctx_size);
+        h.write_u32(u32::from(c.ctx_size > 0));
+        h.write_usize(c.ctx_size.min(c.ctx_candidates.min(MAX_CANDIDATES)));
         h.write_usize(c.ctx_candidates);
-        h.write_u32(u32::from(c.hash.bits()));
-        h.write_u32(u32::from(c.hash.k()));
         h.write_u32(u32::from(c.conditional));
-        h.write_u32(u32::from(c.coalescing));
         h.write_u64(c.min_miss_count);
         h.write_u64(c.min_ctx_support);
         h.write_f64(c.ctx_gain_margin);
@@ -1169,33 +1259,163 @@ mod tests {
     #[test]
     fn baseline_replanning_matches_fresh_plans() {
         // One shared baseline across every config variant of one app must
-        // reproduce each fresh plan exactly — injections AND stats — even
-        // though candidates, positions, and joint counts come from caches
-        // warmed by *other* variants.
-        let model = apps::cassandra().scaled_down(30);
+        // reproduce each fresh plan exactly — injections, stats, contexts
+        // and provenance — even though window searches, rankings, positions,
+        // joint counts and line outcomes come from caches warmed by *other*
+        // variants. The grid is fig17's context sizes and fig18's distance
+        // points plus the ablations and edge cases, planned forward and then
+        // in reverse so every stage meets both cold and warm neighbours.
+        // On this app every fig17 point plans differently from its
+        // neighbours, so a memo key that merged two of them would show.
+        let model = apps::wordpress().scaled_down(30);
         let program = model.generate();
         let trace = program.record_trace(model.default_input(), 25_000);
         let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
-        let baseline = PlannerBaseline::new();
-        let variants = vec![
+        let mut variants: Vec<IspyConfig> = [1, 2, 4, 8, 16, 32]
+            .iter()
+            .map(|&n| IspyConfig::conditional_only().with_ctx_size(n))
+            .collect();
+        for min in [5, 15, 27, 60, 100] {
+            variants.push(IspyConfig::default().with_distances(min, 200));
+        }
+        for max in [60, 120, 200, 300] {
+            variants.push(IspyConfig::default().with_distances(27, max));
+        }
+        variants.extend([
             IspyConfig::default(),
             IspyConfig::conditional_only(),
             IspyConfig::coalescing_only(),
             IspyConfig::plain(),
             IspyConfig::default().with_ctx_size(2),
             IspyConfig::default().with_ctx_size(8),
-            IspyConfig::default().with_distances(15, 200),
-            IspyConfig::default().with_distances(27, 120),
             IspyConfig::default().with_coalesce_bits(4),
-        ];
-        for cfg in variants {
-            let planner = Planner::new(&program, &trace, &prof, cfg.clone());
-            let fresh = planner.plan();
-            let reused = planner.plan_with_baseline(&baseline);
-            assert_eq!(fresh.injections, reused.injections, "cfg {cfg:?}");
-            assert_eq!(fresh.stats, reused.stats, "cfg {cfg:?}");
-            assert_eq!(fresh.context_details, reused.context_details, "cfg {cfg:?}");
-            assert_eq!(fresh.provenance, reused.provenance, "cfg {cfg:?}");
+            IspyConfig { ctx_size: 0, ..IspyConfig::default() },
+            IspyConfig::default().with_ctx_size(16),
+            IspyConfig::default().with_ctx_size(32),
+            IspyConfig { ctx_candidates: 0, ..IspyConfig::default() },
+            IspyConfig { ctx_candidates: 8, ..IspyConfig::default() },
+            IspyConfig { ctx_size: 0, ctx_candidates: 0, ..IspyConfig::default() },
+        ]);
+        let fresh: Vec<Plan> = variants
+            .iter()
+            .map(|cfg| Planner::new(&program, &trace, &prof, cfg.clone()).plan())
+            .collect();
+        let baseline = PlannerBaseline::new();
+        let order: Vec<usize> = (0..variants.len()).chain((0..variants.len()).rev()).collect();
+        for (step, &i) in order.iter().enumerate() {
+            let cfg = &variants[i];
+            let hits_before = baseline.memo_hits();
+            let reused =
+                Planner::new(&program, &trace, &prof, cfg.clone()).plan_with_baseline(&baseline);
+            assert_eq!(fresh[i].injections, reused.injections, "cfg {cfg:?}");
+            assert_eq!(fresh[i].stats, reused.stats, "cfg {cfg:?}");
+            assert_eq!(fresh[i].context_details, reused.context_details, "cfg {cfg:?}");
+            assert_eq!(fresh[i].provenance, reused.provenance, "cfg {cfg:?}");
+            // fig17's ctx16 and ctx32 bound subsets no tighter than ctx8's
+            // eight candidates, so right after ctx8 every line is a memo hit.
+            if step == 4 || step == 5 {
+                assert_eq!(cfg.ctx_size, [16, 32][step - 4]);
+                let hits = baseline.memo_hits() - hits_before;
+                assert!(hits > 0, "ctx{} must reuse ctx8's line outcomes", cfg.ctx_size);
+                assert_eq!(hits, reused.stats.target_lines as u64, "cfg {cfg:?}");
+            }
+        }
+    }
+
+    /// The predictor pool from the full, untruncated lift ranking with the
+    /// site and target excluded up front: the definition the shared,
+    /// truncated per-line ranking must reproduce.
+    fn reference_pool(
+        planner: &Planner,
+        stats: &LineMissStats,
+        site: BlockId,
+        target: BlockId,
+    ) -> Vec<BlockId> {
+        let prof = planner.profile;
+        let mut scored: Vec<(f64, BlockId)> = stats
+            .history_presence
+            .iter()
+            .filter(|(b, _)| **b != site && **b != target)
+            .filter_map(|(&b, &pres)| {
+                let frac = pres as f64 / stats.count as f64;
+                let expected = (prof.cfg.exec_count(b) as f64 * prof.lbr_depth as f64
+                    / prof.trace_len as f64)
+                    .clamp(1e-9, 1.0);
+                (frac >= 0.05 && frac / expected >= 1.2).then_some((frac / expected, b))
+            })
+            .collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then_with(|| a.1 .0.cmp(&b.1 .0)));
+        let mut pool: Vec<BlockId> = Vec::new();
+        let preds = prof.cfg.preds(site);
+        let top = preds.first().map(|&(p, _)| prof.cfg.preds(p)).unwrap_or(&[]);
+        let pushed = preds.iter().take(3).chain(top.iter().take(2)).map(|&(p, _)| p);
+        for b in pushed.chain(scored.into_iter().map(|(_, b)| b)) {
+            if b != site && b != target && !pool.contains(&b) {
+                pool.push(b);
+            }
+        }
+        pool.truncate(planner.cfg.ctx_candidates.min(MAX_CANDIDATES));
+        pool
+    }
+
+    #[test]
+    fn ranked_predictors_order_and_exclusion() {
+        // 40 blocks; block b executes 10·(b+1) times over a 40 000-block
+        // trace at LBR depth 32 (base rate 0.008·(b+1)) and precedes 100 − b
+        // of the line's 100 misses, so lift falls with the block id and all
+        // but the two special blocks below qualify — more than the ranking
+        // keeps. Blocks 3..12 get a small CFG fan-in for the site pushes.
+        let n = 40u32;
+        let mut exec: Vec<u64> = (0..u64::from(n)).map(|b| 10 * (b + 1)).collect();
+        let mut presence: Vec<u64> = (0..u64::from(n)).map(|b| 100 - b).collect();
+        // Blocks 1 and 2 tie on lift: the lower id ranks first.
+        exec[2] = exec[1];
+        presence[2] = presence[1];
+        // Block 3: huge lift, but in only 4% of the misses (below 5%).
+        exec[3] = 1;
+        presence[3] = 4;
+        // Block 5: in 95% of the misses, but as common as anywhere (lift < 1.2).
+        exec[5] = 1_300;
+        let mut edges = HashMap::new();
+        for b in 3..12u32 {
+            edges.insert((b - 1, b), 5);
+            edges.insert((b - 3, b), 3);
+        }
+        let cfg = ispy_profile::DynCfg::new(exec, vec![10.0; n as usize], &edges);
+        let mut stats = LineMissStats { count: 100, ..Default::default() };
+        for (b, &p) in presence.iter().enumerate() {
+            stats.history_presence.insert(BlockId(b as u32), p);
+        }
+        let prof = Profile {
+            cfg,
+            misses: ispy_profile::MissProfile::new(),
+            trace_len: 40_000,
+            lbr_depth: 32,
+        };
+        let model = apps::cassandra().scaled_down(30);
+        let program = model.generate();
+        let trace = program.record_trace(model.default_input(), 100);
+        let planner = Planner::new(&program, &trace, &prof, IspyConfig::default());
+        let ranked = planner.rank_predictors(&stats);
+        // Strongest lift first, ties by block id, cut to RANKED_KEEP; the
+        // rare block and the common block never qualify.
+        let want: Vec<BlockId> =
+            [0, 1, 2, 4].into_iter().chain(6..RANKED_KEEP as u32 + 2).map(BlockId).collect();
+        assert_eq!(ranked, want);
+        // Exclusion: the site and target never enter the pool, and the
+        // truncated ranking yields exactly the full-sort pool for every
+        // (site, target) pair and pool size.
+        for ctx_candidates in [0, 1, 3, 6, 8, 12] {
+            let cfg = IspyConfig { ctx_candidates, ..IspyConfig::default() };
+            let planner = Planner::new(&program, &trace, &prof, cfg);
+            for site in 0..16 {
+                for target in 0..16 {
+                    let (site, target) = (BlockId(site), BlockId(target));
+                    let pool = planner.predictor_candidates(&ranked, site, target);
+                    assert!(!pool.contains(&site) && !pool.contains(&target));
+                    assert_eq!(pool, reference_pool(&planner, &stats, site, target));
+                }
+            }
         }
     }
 
@@ -1260,6 +1480,43 @@ mod tests {
             assert_eq!(a.injections, b.injections);
             assert_eq!(a.stats, b.stats);
         }
+    }
+
+    #[test]
+    fn equal_planning_configs_take_turns() {
+        // ctx8, ctx16 and ctx32 share one planning config. Started together
+        // on one baseline, exactly one of them computes each line and the
+        // other two replay it, whichever thread wins — so memo hits (and the
+        // work counters they skip) do not depend on the schedule.
+        let model = apps::cassandra().scaled_down(30);
+        let program = model.generate();
+        let trace = program.record_trace(model.default_input(), 15_000);
+        let prof = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT);
+        let cfgs: Vec<IspyConfig> =
+            [8, 16, 32].iter().map(|&n| IspyConfig::conditional_only().with_ctx_size(n)).collect();
+        let fresh = Planner::new(&program, &trace, &prof, cfgs[0].clone()).plan();
+        let baseline = PlannerBaseline::new();
+        let start = std::sync::Barrier::new(cfgs.len());
+        let plans: Vec<Plan> = std::thread::scope(|s| {
+            let handles: Vec<_> = cfgs
+                .iter()
+                .map(|cfg| {
+                    let (program, trace, prof, baseline, start) =
+                        (&program, &trace, &prof, &baseline, &start);
+                    s.spawn(move || {
+                        let planner = Planner::new(program, trace, prof, cfg.clone());
+                        start.wait();
+                        planner.plan_with_baseline(baseline)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        for plan in &plans {
+            assert_eq!(plan.injections, fresh.injections);
+            assert_eq!(plan.stats, fresh.stats);
+        }
+        assert_eq!(baseline.memo_hits(), 2 * fresh.stats.target_lines as u64);
     }
 
     #[test]

@@ -73,6 +73,9 @@ impl Ord for Node {
 ///
 /// The search visits each block once (highest-probability first) and stops
 /// after `max_nodes` expansions, keeping the per-miss cost bounded.
+/// `min_cycles` only filters the result: the search itself runs with no
+/// lower bound, which lets the planner share one search across every
+/// `min_cycles` it tries.
 ///
 /// # Examples
 ///
@@ -99,13 +102,56 @@ pub fn find_candidates(
     max_cycles: u32,
     max_nodes: usize,
 ) -> Vec<SiteCandidate> {
+    search_window(cfg, target, max_cycles, max_nodes).within(min_cycles)
+}
+
+/// The result of one backward window search with no lower cycle bound:
+/// every settled predecessor at most `max_cycles` ahead, in output order.
+///
+/// The lower bound never steers the search (neither the expansion nor the
+/// node budget reads it), and the output order is total, so one search
+/// serves every `min_cycles`: [`WindowSearch::within`] filters it. The
+/// planner caches one per (CFG, target, `max_cycles`, `max_nodes`).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct WindowSearch {
+    candidates: Vec<SiteCandidate>,
+    /// Settled predecessors beyond `max_cycles`.
+    rejected_beyond: u64,
+}
+
+impl WindowSearch {
+    /// The candidates at least `min_cycles` ahead, highest reach
+    /// probability first (ties by block id). Counts the
+    /// `[min_cycles, max_cycles]` window's candidates and its untimely
+    /// rejections (too close or too far) into telemetry.
+    pub(crate) fn within(&self, min_cycles: u32) -> Vec<SiteCandidate> {
+        let min = f64::from(min_cycles);
+        let out: Vec<SiteCandidate> =
+            self.candidates.iter().filter(|c| c.cycles >= min).copied().collect();
+        let too_close = (self.candidates.len() - out.len()) as u64;
+        let tele = ispy_telemetry::global();
+        tele.add("core.window.candidates_found", out.len() as u64);
+        tele.add("core.window.rejected_untimely", self.rejected_beyond + too_close);
+        out
+    }
+}
+
+/// Runs the bounded backward search for `target` with no lower cycle bound
+/// (see [`WindowSearch`]).
+pub(crate) fn search_window(
+    cfg: &DynCfg,
+    target: BlockId,
+    max_cycles: u32,
+    max_nodes: usize,
+) -> WindowSearch {
+    let max = f64::from(max_cycles);
     let mut best: HashMap<u32, Node> = HashMap::new();
     let mut heap = BinaryHeap::new();
     let mut out = Vec::new();
     let start = Node { prob: 1.0, cycles: 0.0, blocks: 0, block: target };
     heap.push(start);
     let mut expanded = 0usize;
-    let mut rejected_untimely = 0u64;
+    let mut rejected_beyond = 0u64;
 
     while let Some(node) = heap.pop() {
         // Settled check: only the best (first-popped) entry per block counts.
@@ -119,10 +165,7 @@ pub fn find_candidates(
             break;
         }
 
-        if node.block != target
-            && node.cycles >= f64::from(min_cycles)
-            && node.cycles <= f64::from(max_cycles)
-        {
+        if node.block != target && node.cycles <= max {
             out.push(SiteCandidate {
                 block: node.block,
                 reach_prob: node.prob,
@@ -130,13 +173,13 @@ pub fn find_candidates(
                 blocks: node.blocks,
             });
         } else if node.block != target {
-            // Settled predecessor outside the prefetch window: too close to
-            // hide the latency, or too far to trust the path estimate.
-            rejected_untimely += 1;
+            // Settled predecessor beyond the prefetch window: too far to
+            // trust the path estimate.
+            rejected_beyond += 1;
         }
         // Expanding beyond max_cycles cannot produce in-window candidates
         // (cycle costs are non-negative along predecessors).
-        if node.cycles > f64::from(max_cycles) {
+        if node.cycles > max {
             continue;
         }
         for &(pred, _) in cfg.preds(node.block) {
@@ -171,9 +214,7 @@ pub fn find_candidates(
     let tele = ispy_telemetry::global();
     tele.add("core.window.searches", 1);
     tele.add("core.window.nodes_expanded", expanded as u64);
-    tele.add("core.window.candidates_found", out.len() as u64);
-    tele.add("core.window.rejected_untimely", rejected_untimely);
-    out
+    WindowSearch { candidates: out, rejected_beyond }
 }
 
 /// Picks the planner's injection site: the most-reachable candidate,
@@ -437,5 +478,102 @@ mod tests {
         let cfg = DynCfg::new(vec![90, 90, 10], vec![15.0; 3], &edges);
         let sites = find_candidates(&cfg, BlockId(2), 10, 200, 4096);
         assert!(!sites.is_empty());
+    }
+
+    /// The single-pass search with the lower bound applied inside the
+    /// loop: the definition [`find_candidates`] must match.
+    fn reference_candidates(
+        cfg: &DynCfg,
+        target: BlockId,
+        min_cycles: u32,
+        max_cycles: u32,
+        max_nodes: usize,
+    ) -> Vec<SiteCandidate> {
+        let mut best: HashMap<u32, Node> = HashMap::new();
+        let mut heap = BinaryHeap::new();
+        let mut out = Vec::new();
+        heap.push(Node { prob: 1.0, cycles: 0.0, blocks: 0, block: target });
+        let mut expanded = 0usize;
+        while let Some(node) = heap.pop() {
+            match best.get(&node.block.0) {
+                Some(settled) if settled.prob >= node.prob => continue,
+                _ => {}
+            }
+            best.insert(node.block.0, node);
+            expanded += 1;
+            if expanded > max_nodes {
+                break;
+            }
+            if node.block != target
+                && node.cycles >= f64::from(min_cycles)
+                && node.cycles <= f64::from(max_cycles)
+            {
+                out.push(SiteCandidate {
+                    block: node.block,
+                    reach_prob: node.prob,
+                    cycles: node.cycles,
+                    blocks: node.blocks,
+                });
+            }
+            if node.cycles > f64::from(max_cycles) {
+                continue;
+            }
+            for &(pred, _) in cfg.preds(node.block) {
+                let e = cfg.edge_prob(pred, node.block);
+                if e <= 0.0 {
+                    continue;
+                }
+                let cand = Node {
+                    prob: node.prob * e,
+                    cycles: node.cycles + cfg.avg_cycles(pred),
+                    blocks: node.blocks + 1,
+                    block: pred,
+                };
+                if cand.prob >= 1e-6 && !best.get(&pred.0).is_some_and(|s| s.prob >= cand.prob) {
+                    heap.push(cand);
+                }
+            }
+        }
+        out.sort_by(|a, b| {
+            b.reach_prob
+                .partial_cmp(&a.reach_prob)
+                .unwrap_or(Ordering::Equal)
+                .then(a.block.0.cmp(&b.block.0))
+        });
+        out
+    }
+
+    #[test]
+    fn lower_bound_is_a_filter_over_random_cfgs() {
+        use ispy_trace::rng::Pcg32;
+        let mut rng = Pcg32::seed_from_u64(0x5eed_0f18);
+        for case in 0..300 {
+            let n = 2 + rng.below(60) as u32;
+            let mut edges = HashMap::new();
+            for _ in 0..rng.below(u64::from(n) * 3) {
+                let from = rng.below(u64::from(n)) as u32;
+                let to = rng.below(u64::from(n)) as u32;
+                edges.insert((from, to), 1 + rng.below(100));
+            }
+            let exec: Vec<u64> = (0..n).map(|_| 1 + rng.below(500)).collect();
+            // Whole-cycle costs make path lengths land exactly on the bound.
+            let cycles: Vec<f64> = (0..n).map(|_| rng.below(60) as f64).collect();
+            let cfg = DynCfg::new(exec, cycles, &edges);
+            let target = BlockId(rng.below(u64::from(n)) as u32);
+            let max = rng.below(300) as u32;
+            let min = rng.below(u64::from(max) + 20) as u32;
+            let nodes = 1 + rng.below(80) as usize;
+            let got = find_candidates(&cfg, target, min, max, nodes);
+            let filtered: Vec<SiteCandidate> = find_candidates(&cfg, target, 0, max, nodes)
+                .into_iter()
+                .filter(|c| c.cycles >= f64::from(min))
+                .collect();
+            assert_eq!(got, filtered, "case {case}: min {min} max {max} nodes {nodes}");
+            assert_eq!(
+                got,
+                reference_candidates(&cfg, target, min, max, nodes),
+                "case {case}: min {min} max {max} nodes {nodes}"
+            );
+        }
     }
 }

@@ -5,9 +5,10 @@
 //! config). That digest must be *stable*: independent of `HashMap` iteration
 //! order, pointer values, or the std hasher's per-process random seed —
 //! otherwise a memo could never be compared across plans. This module
-//! provides a plain FNV-1a 64 accumulator with typed `write_*` helpers;
-//! callers are responsible for feeding fields in a canonical order (sort
-//! map contents before hashing).
+//! provides a plain FNV-1a 64 accumulator with typed `write_*` helpers
+//! (callers feed fields in a canonical order), plus the splitmix64 mixer
+//! `mix64` for order-independent multiset digests (a wrapping sum of
+//! per-entry mixes needs no sort).
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -78,6 +79,16 @@ impl ContentHasher {
     pub fn finish(&self) -> u64 {
         self.state
     }
+}
+
+/// The splitmix64 step: a bijective 64-bit mixer whose output bits each
+/// depend on every input bit. A wrapping sum of `mix64` over a collection's
+/// entries digests it as a multiset, independent of iteration order.
+pub(crate) fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Digests one `u64` sequence in order — a convenience for one-shot keys.

@@ -1,6 +1,6 @@
 //! Per-missing-line statistics (the PEBS side of the profile).
 
-use crate::digest::ContentHasher;
+use crate::digest::mix64;
 use ispy_trace::{BlockId, Line};
 use std::collections::HashMap;
 
@@ -25,19 +25,6 @@ impl LineMissStats {
         self.at_blocks.iter().max_by_key(|&(b, &c)| (c, std::cmp::Reverse(b.0))).map(|(&b, _)| b)
     }
 
-    /// History blocks ranked by presence frequency (descending), excluding
-    /// any block in `exclude`.
-    pub fn ranked_predictors(&self, exclude: &[BlockId]) -> Vec<(BlockId, u64)> {
-        let mut v: Vec<(BlockId, u64)> = self
-            .history_presence
-            .iter()
-            .filter(|(b, _)| !exclude.contains(b))
-            .map(|(&b, &c)| (b, c))
-            .collect();
-        v.sort_by_key(|&(b, c)| (std::cmp::Reverse(c), b));
-        v
-    }
-
     /// First sampled miss at or after trace position `idx`, if any.
     pub fn next_miss_at_or_after(&self, idx: u32) -> Option<u32> {
         let i = self.positions.partition_point(|&p| p < idx);
@@ -45,33 +32,33 @@ impl LineMissStats {
     }
 
     /// A stable content digest of these stats: independent of `HashMap`
-    /// iteration order and process hash seeds, equal iff the observable
-    /// contents are equal. The incremental replanner keys its per-line memo
-    /// on this — two profiles that agree on a line's stats share the line's
-    /// plan.
+    /// iteration order and process hash seeds, and equal whenever the
+    /// observable contents are equal. The incremental replanner keys its
+    /// per-line memo on this, so two profiles that agree on a line's stats
+    /// share the line's plan. Each map is digested as a multiset (a wrapping
+    /// sum of per-entry mixes), so no entry list is collected or sorted; the
+    /// map digests, lengths and positions are then mixed in sequence. The
+    /// value is an in-process memo key and is never persisted.
     pub fn content_digest(&self) -> u64 {
-        let mut h = ContentHasher::new();
-        h.write_u64(self.count);
-        let mut at: Vec<(u32, u64)> = self.at_blocks.iter().map(|(&b, &c)| (b.0, c)).collect();
-        at.sort_unstable();
-        h.write_usize(at.len());
-        for (b, c) in at {
-            h.write_u32(b);
-            h.write_u64(c);
+        fn multiset(map: &HashMap<BlockId, u64>) -> u64 {
+            map.iter().fold(0u64, |acc, (b, &c)| {
+                acc.wrapping_add(mix64(mix64(u64::from(b.0)).wrapping_add(c)))
+            })
         }
-        let mut hist: Vec<(u32, u64)> =
-            self.history_presence.iter().map(|(&b, &c)| (b.0, c)).collect();
-        hist.sort_unstable();
-        h.write_usize(hist.len());
-        for (b, c) in hist {
-            h.write_u32(b);
-            h.write_u64(c);
+        let mut h = mix64(self.count);
+        for word in [
+            self.at_blocks.len() as u64,
+            multiset(&self.at_blocks),
+            self.history_presence.len() as u64,
+            multiset(&self.history_presence),
+            self.positions.len() as u64,
+        ] {
+            h = mix64(h ^ word);
         }
-        h.write_usize(self.positions.len());
         for &p in &self.positions {
-            h.write_u32(p);
+            h = mix64(h ^ u64::from(p));
         }
-        h.finish()
+        h
     }
 }
 
@@ -264,20 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn ranked_predictors_order_and_exclusion() {
-        let mut mp = MissProfile::new();
-        let l = Line::new(7);
-        mp.record(l, b(9), 0, &[b(1), b(2)]);
-        mp.record(l, b(9), 1, &[b(2)]);
-        mp.record(l, b(9), 2, &[b(2), b(3)]);
-        let s = mp.line(l).unwrap();
-        let ranked = s.ranked_predictors(&[]);
-        assert_eq!(ranked[0], (b(2), 3));
-        let without = s.ranked_predictors(&[b(2)]);
-        assert!(without.iter().all(|&(blk, _)| blk != b(2)));
-    }
-
-    #[test]
     fn next_miss_lookup() {
         let mut mp = MissProfile::new();
         let l = Line::new(1);
@@ -378,5 +351,55 @@ mod tests {
         d.record(l, b(1), 0, &[b(3), b(4)]);
         d.record(l, b(2), 2, &[b(4)]);
         assert_ne!(a.line(l).unwrap().content_digest(), d.line(l).unwrap().content_digest());
+    }
+
+    #[test]
+    fn content_digest_sees_every_field_but_not_insertion_order() {
+        let base = LineMissStats {
+            count: 5,
+            at_blocks: [(b(1), 3), (b(2), 2)].into_iter().collect(),
+            history_presence: [(b(3), 4), (b(4), 1), (b(5), 5)].into_iter().collect(),
+            positions: vec![10, 20, 30, 40, 50],
+        };
+        let d = base.content_digest();
+        // The same entries inserted in the reverse order.
+        let reversed = LineMissStats {
+            at_blocks: [(b(2), 2), (b(1), 3)].into_iter().collect(),
+            history_presence: [(b(5), 5), (b(4), 1), (b(3), 4)].into_iter().collect(),
+            ..base.clone()
+        };
+        assert_eq!(reversed.content_digest(), d);
+        let mut changed = Vec::new();
+        let mut s = base.clone();
+        s.count += 1;
+        changed.push(("count", s));
+        let mut s = base.clone();
+        *s.at_blocks.get_mut(&b(1)).unwrap() += 1;
+        changed.push(("at_blocks count", s));
+        let mut s = base.clone();
+        *s.history_presence.get_mut(&b(4)).unwrap() += 1;
+        changed.push(("history count", s));
+        let mut s = base.clone();
+        s.positions[2] = 31;
+        changed.push(("position", s));
+        let mut s = base.clone();
+        s.positions.swap(1, 2);
+        changed.push(("position order", s));
+        // Blocks 1 and 4 trade maps, entries unchanged: both maps keep
+        // their sizes and the union of entries stays the same.
+        let mut s = base.clone();
+        s.at_blocks.remove(&b(1));
+        s.history_presence.remove(&b(4));
+        s.at_blocks.insert(b(4), 1);
+        s.history_presence.insert(b(1), 3);
+        changed.push(("map membership", s));
+        // Two entries swapping their counts keeps both multisets' sizes.
+        let mut s = base.clone();
+        s.history_presence.insert(b(3), 5);
+        s.history_presence.insert(b(5), 4);
+        changed.push(("count owner", s));
+        for (what, s) in changed {
+            assert_ne!(s.content_digest(), d, "changing the {what} must change the digest");
+        }
     }
 }
