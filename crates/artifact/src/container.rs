@@ -22,6 +22,7 @@ use std::path::Path;
 use crate::crc::crc32;
 use crate::error::ArtifactError;
 use crate::section::{SectionReader, SectionWriter};
+use crate::stream::{write_frame, StreamReader};
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"ISPYART\0";
@@ -54,8 +55,7 @@ pub(crate) fn encode_header(kind: ArtifactKind, section_count: u32) -> [u8; HEAD
 }
 
 /// Validates a 20-byte header against `expected` and returns the declared
-/// section count. Shared by the buffered and streaming readers so both
-/// enforce identical checks.
+/// section count.
 pub(crate) fn parse_header(
     header: &[u8; HEADER_LEN],
     expected: ArtifactKind,
@@ -151,19 +151,15 @@ impl ArtifactWriter {
         self.sections.push((id, payload));
     }
 
-    /// Serializes the artifact to bytes.
+    /// Serializes the artifact to bytes, framing each section exactly as
+    /// [`StreamWriter`](crate::StreamWriter) does.
     pub fn to_bytes(&self) -> Vec<u8> {
         let body_len: usize =
             self.sections.iter().map(|(_, p)| p.len() + SECTION_OVERHEAD).sum::<usize>();
         let mut out = Vec::with_capacity(HEADER_LEN + body_len);
         out.extend_from_slice(&encode_header(self.kind, self.sections.len() as u32));
         for (id, payload) in &self.sections {
-            let frame_start = out.len();
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(payload);
-            let section_crc = crc32(&out[frame_start..]);
-            out.extend_from_slice(&section_crc.to_le_bytes());
+            write_frame(&mut out, *id, payload).expect("writing to a Vec cannot fail");
         }
         out
     }
@@ -186,14 +182,14 @@ impl ArtifactWriter {
 
 /// A fully validated artifact: header checked, every section checksummed.
 ///
-/// Construction performs the whole structural validation up front, so
-/// [`ArtifactReader::section`] cannot fail on corruption — only payload-level
-/// codec errors remain for the caller.
+/// Construction walks the whole input through [`StreamReader`], so the
+/// buffered and streaming readers share one parser and enforce identical
+/// checks. [`ArtifactReader::section`] cannot fail on corruption — only
+/// payload-level codec errors remain for the caller.
 #[derive(Debug, Clone)]
 pub struct ArtifactReader {
     kind: ArtifactKind,
-    data: Vec<u8>,
-    sections: Vec<(u32, std::ops::Range<usize>)>,
+    sections: Vec<(u32, Vec<u8>)>,
 }
 
 impl ArtifactReader {
@@ -205,53 +201,12 @@ impl ArtifactReader {
     /// future version, wrong/unknown kind, checksum mismatches, truncation,
     /// duplicate sections, oversized sections, trailing bytes.
     pub fn from_bytes(bytes: &[u8], expected: ArtifactKind) -> Result<Self, ArtifactError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ArtifactError::Truncated { context: "header" });
+        let mut reader = StreamReader::new(bytes, expected)?;
+        let mut sections = Vec::new();
+        while let Some((id, _)) = reader.next_section()? {
+            sections.push((id, reader.take_payload()?));
         }
-        let mut header = [0u8; HEADER_LEN];
-        header.copy_from_slice(&bytes[..HEADER_LEN]);
-        let count = parse_header(&header, expected)?;
-        let kind = expected;
-
-        let mut sections: Vec<(u32, std::ops::Range<usize>)> = Vec::with_capacity(count as usize);
-        let mut pos = HEADER_LEN;
-        for _ in 0..count {
-            if bytes.len() - pos < 12 {
-                return Err(ArtifactError::Truncated { context: "section frame" });
-            }
-            let id =
-                u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-            let mut len_raw = [0u8; 8];
-            len_raw.copy_from_slice(&bytes[pos + 4..pos + 12]);
-            let len = u64::from_le_bytes(len_raw);
-            if len > MAX_SECTION_LEN {
-                return Err(ArtifactError::SectionTooLarge { id, len });
-            }
-            let len = len as usize;
-            if bytes.len() - pos < 12 + len + 4 {
-                return Err(ArtifactError::Truncated { context: "section payload" });
-            }
-            let payload_start = pos + 12;
-            let payload_end = payload_start + len;
-            let stored_crc = u32::from_le_bytes([
-                bytes[payload_end],
-                bytes[payload_end + 1],
-                bytes[payload_end + 2],
-                bytes[payload_end + 3],
-            ]);
-            if crc32(&bytes[pos..payload_end]) != stored_crc {
-                return Err(ArtifactError::SectionChecksum { id });
-            }
-            if sections.iter().any(|(existing, _)| *existing == id) {
-                return Err(ArtifactError::DuplicateSection { id });
-            }
-            sections.push((id, payload_start..payload_end));
-            pos = payload_end + 4;
-        }
-        if pos != bytes.len() {
-            return Err(ArtifactError::TrailingBytes);
-        }
-        Ok(ArtifactReader { kind, data: bytes.to_vec(), sections })
+        Ok(ArtifactReader { kind: expected, sections })
     }
 
     /// Reads and validates an artifact file.
@@ -280,7 +235,7 @@ impl ArtifactReader {
         self.sections
             .iter()
             .find(|(existing, _)| *existing == id)
-            .map(|(_, range)| SectionReader::new(id, &self.data[range.clone()]))
+            .map(|(_, payload)| SectionReader::new(id, payload))
     }
 
     /// Opens a cursor over section `id`, erroring if absent.

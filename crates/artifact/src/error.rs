@@ -126,6 +126,25 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
+/// Checked narrowing of a decoded varint, with a typed error instead of a
+/// panicking cast.
+///
+/// # Errors
+///
+/// [`ArtifactError::Malformed`] naming `what` when `v` does not fit `T`.
+///
+/// # Examples
+///
+/// ```
+/// use ispy_artifact::narrow;
+///
+/// assert_eq!(narrow::<u8>(200, "tag"), Ok(200));
+/// assert!(narrow::<u8>(300, "tag").is_err());
+/// ```
+pub fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, ArtifactError> {
+    T::try_from(v).map_err(|_| ArtifactError::malformed(what, format!("value {v} out of range")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,6 +51,6 @@ pub mod stream;
 pub mod varint;
 
 pub use container::{ArtifactKind, ArtifactReader, ArtifactWriter, FORMAT_VERSION, MAGIC};
-pub use error::ArtifactError;
+pub use error::{narrow, ArtifactError};
 pub use section::{SectionReader, SectionWriter};
 pub use stream::{StreamReader, StreamWriter};

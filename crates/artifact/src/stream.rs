@@ -1,10 +1,6 @@
-//! Incremental container IO: the same on-disk format as
+//! Incremental container IO: the on-disk format of
 //! [`container`](crate::container), produced and consumed without ever
 //! holding the whole artifact in memory.
-//!
-//! [`ArtifactWriter`](crate::ArtifactWriter) /
-//! [`ArtifactReader`](crate::ArtifactReader) buffer the entire file, which
-//! caps artifact size by host RAM. The streaming pair here lifts that cap:
 //!
 //! * [`StreamWriter`] frames sections straight to any `Write + Seek` sink.
 //!   Only one section is in memory at a time (the section count is unknown
@@ -14,19 +10,20 @@
 //!   handing payload bytes out in caller-sized chunks while folding them
 //!   into an incremental CRC that is verified at the section boundary.
 //!
-//! Both ends speak the exact format of the buffered pair: a file written by
-//! [`StreamWriter`] parses under the strict [`ArtifactReader`] and vice
-//! versa (the unit tests pin this both ways).
+//! These are the container's only framer and parser: the buffered
+//! [`ArtifactWriter`] frames its sections with the same routine, and
+//! [`ArtifactReader`] collects its sections through a [`StreamReader`].
 //!
-//! **Validation timing differs from the buffered reader.** `ArtifactReader`
-//! validates the whole file up front; `StreamReader` can only validate what
-//! it has seen, so corruption and truncation surface as typed errors *during
-//! iteration* — a section's checksum mismatch is reported when its last
-//! payload byte has been read, and a missing tail is reported by
+//! **Validation timing.** `ArtifactReader` has validated the whole file by
+//! the time it returns; a `StreamReader` can only validate what it has seen,
+//! so corruption and truncation surface as typed errors *during iteration*
+//! — a section's checksum mismatch is reported when its last payload byte
+//! has been read, and a missing tail is reported by
 //! [`StreamReader::finish`]. Callers must therefore treat any decoded data
 //! as provisional until the section (or the whole stream) has been verified.
 //!
 //! [`ArtifactReader`]: crate::ArtifactReader
+//! [`ArtifactWriter`]: crate::ArtifactWriter
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
@@ -38,6 +35,21 @@ use crate::section::SectionWriter;
 /// Wraps an IO failure on a seekable/readable stream that has no path.
 fn io_stream(err: std::io::Error) -> ArtifactError {
     ArtifactError::Io { path: "<stream>".to_string(), message: err.to_string() }
+}
+
+/// Frames one section — id, payload length, payload, CRC-32 over all three —
+/// onto `sink`. The one framing routine behind both writers.
+pub(crate) fn write_frame<W: Write>(sink: &mut W, id: u32, payload: &[u8]) -> std::io::Result<()> {
+    let id_bytes = id.to_le_bytes();
+    let len_bytes = (payload.len() as u64).to_le_bytes();
+    let mut crc = Crc32::new();
+    crc.update(&id_bytes);
+    crc.update(&len_bytes);
+    crc.update(payload);
+    sink.write_all(&id_bytes)?;
+    sink.write_all(&len_bytes)?;
+    sink.write_all(payload)?;
+    sink.write_all(&crc.finish().to_le_bytes())
 }
 
 /// `read_exact` that maps a clean EOF to [`ArtifactError::Truncated`] with
@@ -134,16 +146,7 @@ impl<W: Write + Seek> StreamWriter<W> {
             "section {id} payload exceeds the decoder cap"
         );
         self.seen.push(id);
-        let id_bytes = id.to_le_bytes();
-        let len_bytes = (payload.len() as u64).to_le_bytes();
-        let mut crc = Crc32::new();
-        crc.update(&id_bytes);
-        crc.update(&len_bytes);
-        crc.update(&payload);
-        self.sink.write_all(&id_bytes).map_err(io_stream)?;
-        self.sink.write_all(&len_bytes).map_err(io_stream)?;
-        self.sink.write_all(&payload).map_err(io_stream)?;
-        self.sink.write_all(&crc.finish().to_le_bytes()).map_err(io_stream)?;
+        write_frame(&mut self.sink, id, &payload).map_err(io_stream)?;
         self.count += 1;
         Ok(())
     }
@@ -191,13 +194,12 @@ struct CurrentSection {
 
 /// Reads an artifact section by section off any byte stream.
 ///
-/// The header is validated up front (same checks as the buffered reader);
-/// sections are then walked in file order with [`next_section`] /
+/// The header is validated up front; sections are then walked in file order with [`next_section`] /
 /// [`read_chunk`]. Each section's CRC is verified when its last payload byte
 /// is consumed, and [`finish`] drains + verifies everything left, so a
-/// caller that runs the reader to completion gets exactly the integrity
-/// guarantees of [`ArtifactReader`](crate::ArtifactReader) — just delivered
-/// incrementally.
+/// caller that runs the reader to completion has verified the whole file —
+/// exactly what [`ArtifactReader`](crate::ArtifactReader), which is built on
+/// this reader, guarantees up front.
 ///
 /// [`next_section`]: StreamReader::next_section
 /// [`read_chunk`]: StreamReader::read_chunk
@@ -239,10 +241,8 @@ impl<R: Read> StreamReader<R> {
     ///
     /// # Errors
     ///
-    /// The same header-level conditions as
-    /// [`ArtifactReader::from_bytes`](crate::ArtifactReader::from_bytes):
-    /// bad magic, future version, wrong/unknown kind, header checksum,
-    /// truncation — plus [`ArtifactError::Io`] on read failure.
+    /// Bad magic, future version, wrong/unknown kind, header checksum,
+    /// truncation, or [`ArtifactError::Io`] on read failure.
     pub fn new(mut source: R, expected: ArtifactKind) -> Result<Self, ArtifactError> {
         let mut header = [0u8; HEADER_LEN];
         read_exact_ctx(&mut source, &mut header, "header")?;
@@ -336,17 +336,23 @@ impl<R: Read> StreamReader<R> {
 
     /// Buffers the remainder of the current section's payload and verifies
     /// its CRC. Allocation is bounded by the framing cap (the length field
-    /// was range-checked in [`next_section`](StreamReader::next_section)).
+    /// was range-checked in [`next_section`](StreamReader::next_section))
+    /// and grows with the bytes actually read, so a corrupt length in a
+    /// short input fails as truncated before it can reserve the full claim.
     ///
     /// # Errors
     ///
     /// The same conditions as [`read_chunk`](StreamReader::read_chunk).
     pub fn take_payload(&mut self) -> Result<Vec<u8>, ArtifactError> {
-        let remaining = self.current.as_ref().map_or(0, |c| c.remaining);
-        let mut buf = vec![0u8; remaining as usize];
-        let mut filled = 0;
-        while filled < buf.len() {
-            filled += self.read_chunk(&mut buf[filled..])?;
+        const STEP: usize = 1 << 20;
+        let mut remaining = self.current.as_ref().map_or(0, |c| c.remaining) as usize;
+        let mut buf = Vec::new();
+        while remaining > 0 {
+            let start = buf.len();
+            let step = remaining.min(start.max(STEP));
+            buf.resize(start + step, 0);
+            self.read_chunk(&mut buf[start..])?;
+            remaining -= step;
         }
         Ok(buf)
     }

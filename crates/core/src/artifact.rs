@@ -32,7 +32,7 @@
 
 use crate::planner::{Plan, PlanStats};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
-use ispy_artifact::{ArtifactError, ArtifactKind, ArtifactReader, ArtifactWriter};
+use ispy_artifact::{narrow, ArtifactError, ArtifactKind, ArtifactReader, ArtifactWriter};
 use ispy_artifact::{SectionReader, SectionWriter};
 use ispy_isa::{CoalesceMask, ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
 use ispy_trace::{BlockId, Line};
@@ -246,11 +246,6 @@ pub fn write_plan(label: &str, plan: &Plan, path: &Path) -> Result<(), ArtifactE
     std::fs::create_dir_all(path.parent().unwrap_or_else(|| Path::new(".")))
         .map_err(|e| ArtifactError::io(path, e))?;
     std::fs::write(path, plan_to_bytes(label, plan)).map_err(|e| ArtifactError::io(path, e))
-}
-
-/// Checked narrowing with a typed error instead of a panicking cast.
-fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, ArtifactError> {
-    T::try_from(v).map_err(|_| ArtifactError::malformed(what, format!("value {v} out of range")))
 }
 
 /// Decodes `(label, plan)` from artifact bytes.

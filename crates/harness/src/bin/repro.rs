@@ -11,8 +11,8 @@
 //! repro fig17 --apps wordpress    # run on a subset of the applications
 //! repro explain wordpress --quick # why/what-did-it-buy audit per injection
 //! repro record kafka -o k.itrace  # record an execution to an artifact
-//! repro record kafka --stream --events 100000000 -o k.itrace
-//!                                 # stream-record without materializing
+//! repro record kafka --events 100000000 -o k.itrace
+//!                                 # recording streams; length is not RAM-bound
 //! repro plan kafka -o k.iplan     # plan injections, save with provenance
 //! repro replay k.itrace           # re-simulate a recorded artifact
 //! repro replay k.itrace --stream  # same result, bounded memory
@@ -145,7 +145,6 @@ const SCENARIO_FLAGS: &[Flag] = &[
 const ARTIFACT_FLAGS: &[Flag] = &[
     QUICK,
     TEST_SCALE,
-    switch(&["--stream"]),
     value(&["--events"], "an event count"),
     value(&["--out", "-o"], "a file path"),
 ];
@@ -759,7 +758,7 @@ fn usage() {
     eprintln!("             [--quick | --test-scale] [--json DIR] [--metrics DIR]");
     eprintln!("             [--cache[=DIR]] [--jobs N] [--apps a,b,c]");
     eprintln!("       repro explain <app> [--quick | --test-scale] [--top N] [--jobs N]");
-    eprintln!("       repro record <app> [--quick | --test-scale] [--stream] [--events N]");
+    eprintln!("       repro record <app> [--quick | --test-scale] [--events N]");
     eprintln!("                   [-o FILE.itrace]");
     eprintln!("       repro plan <app> [--quick | --test-scale] [-o FILE.iplan]");
     eprintln!("       repro replay <FILE.itrace> [--plan FILE.iplan] [--stream]");
@@ -778,44 +777,31 @@ fn usage() {
 
 /// `repro record <app>`: record an execution and store it as `.itrace`.
 ///
-/// With `--stream` the trace never exists in memory: the generator feeds a
+/// The trace never exists in memory: the generator feeds a
 /// [`RecordingWriter`](ispy_trace::artifact::RecordingWriter) chunk by
 /// chunk, so `--events` can exceed RAM (the 100M-block CI gate records this
-/// way under a ulimit).
+/// way).
 fn run_record(args: &[String]) -> Outcome {
+    use ispy_trace::BlockSource;
     let args = parse(ARTIFACT_FLAGS, args)?;
     let scale = args.scale();
     let events = args.number("--events", 0..)?.unwrap_or(scale.events as u64);
-    let stream = args.has("--stream");
     let model = args.single_app()?.scaled_down(scale.shrink);
     let app = model.name();
     let program = model.generate();
     let path = args.path("--out").unwrap_or_else(|| PathBuf::from(format!("{app}.itrace")));
-    let written = if stream {
-        use ispy_trace::BlockSource;
-        let walker = ispy_trace::Walker::new(&program, model.default_input());
-        let mut source = ispy_trace::WalkerSource::new(walker, events);
-        let mut writer =
-            ispy_trace::artifact::RecordingWriter::create(&path, &program, program.name())?;
-        while let Some(chunk) = source.next_chunk()? {
-            writer.push(chunk)?;
-        }
-        let written = writer.events_written();
-        writer.finish()?;
-        written
-    } else {
-        if events > usize::MAX as u64 {
-            return Err("--events too large to materialize; use --stream".into());
-        }
-        let trace = program.record_trace(model.default_input(), events as usize);
-        ispy_trace::artifact::write_recording(&program, &trace, &path)?;
-        trace.len() as u64
-    };
+    let walker = ispy_trace::Walker::new(&program, model.default_input());
+    let mut source = ispy_trace::WalkerSource::new(walker, events);
+    let mut writer =
+        ispy_trace::artifact::RecordingWriter::create(&path, &program, program.name())?;
+    while let Some(chunk) = source.next_chunk()? {
+        writer.push(chunk)?;
+    }
+    let written = writer.events_written();
+    writer.finish()?;
     eprintln!(
-        "recorded {app}: {} blocks, {} events{} -> {}",
+        "recorded {app}: {} blocks, {written} events -> {}",
         program.num_blocks(),
-        written,
-        if stream { " (streamed)" } else { "" },
         path.display()
     );
     Ok(())
@@ -1184,6 +1170,13 @@ mod tests {
                     "`{positional} {flag}`"
                 );
             }
+        }
+        // Only `replay` streams on request; the artifact writers have one path.
+        let artifact_cmds: [(Command, &str); 3] =
+            [(run_record, "kafka"), (run_plan, "kafka"), (run_ingest, "perf.txt")];
+        for (cmd, positional) in artifact_cmds {
+            let err = cmd(&argv(&format!("{positional} --stream"))).unwrap_err();
+            assert_eq!(err.to_string(), "unknown flag `--stream`", "`{positional} --stream`");
         }
     }
 

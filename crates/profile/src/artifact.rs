@@ -31,7 +31,7 @@
 use crate::collect::Profile;
 use crate::dyncfg::DynCfg;
 use crate::miss::{LineMissStats, MissProfile};
-use ispy_artifact::{ArtifactError, ArtifactKind, ArtifactReader, ArtifactWriter};
+use ispy_artifact::{narrow, ArtifactError, ArtifactKind, ArtifactReader, ArtifactWriter};
 use ispy_trace::{BlockId, Line};
 use std::collections::HashMap;
 use std::path::Path;
@@ -183,11 +183,6 @@ pub fn peek_profile_meta(bytes: &[u8]) -> Result<ProfileMeta, ArtifactError> {
     let num_blocks: usize = narrow(meta.take_varint()?, "block count")?;
     meta.finish()?;
     Ok(ProfileMeta { label, trace_len, lbr_depth, num_blocks })
-}
-
-/// Checked narrowing with a typed error instead of a panicking cast.
-fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, ArtifactError> {
-    T::try_from(v).map_err(|_| ArtifactError::malformed(what, format!("value {v} out of range")))
 }
 
 /// Decodes `(label, profile)` from artifact bytes.

@@ -184,10 +184,6 @@ impl BlockSource for ScenarioSource<'_> {
         self.fill(self.chunk);
         Ok(Some(&self.buf))
     }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.remaining())
-    }
 }
 
 /// A [`WindowedBlockSource`] over a compiled scenario, for sharded replay.
@@ -209,7 +205,12 @@ impl BlockSource for ScenarioSource<'_> {
 /// let c = Scenario::preset("steady").unwrap().scaled_down(20).compile(4_000);
 /// let w = c.windows(1_000);
 /// let mut win = w.open_window(1_000, 500);
-/// assert_eq!(win.len_hint(), Some(500));
+/// assert_eq!(win.remaining(), 500);
+/// let mut pulled = 0;
+/// while let Some(chunk) = win.next_chunk().unwrap() {
+///     pulled += chunk.len();
+/// }
+/// assert_eq!(pulled, 500);
 /// ```
 #[derive(Debug)]
 pub struct ScenarioWindows<'s> {

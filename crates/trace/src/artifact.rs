@@ -12,13 +12,16 @@
 //! crate stays dependency-free; this module owns the mapping between
 //! [`Program`]/[`Trace`] and container sections.
 //!
-//! Two trace encodings share the container. The **monolithic** form
-//! ([`recording_to_bytes`]) stores all events in one section — simplest,
-//! but writing it requires the whole trace in memory. The **framed** form
-//! ([`RecordingWriter`]) splits events into fixed-size frame sections, each
-//! an independent delta stream, so arbitrarily long traces are written and
-//! read ([`open_recording_stream`]) in bounded memory. Both decoders accept
-//! both forms; see `docs/STREAMING.md` for the framing contract.
+//! Writers emit one trace encoding, the **framed** form: the events are
+//! split into fixed-size frame sections, each an independent delta stream,
+//! so arbitrarily long traces are written ([`RecordingWriter`]) and read
+//! ([`open_recording_stream`]) in bounded memory. [`recording_to_bytes`] and
+//! [`write_recording`] are thin wrappers over the writer, and
+//! [`recording_from_bytes`] and [`read_recording`] drain the stream, so a
+//! recording has exactly one encoder and one decoder. Files written before
+//! the framed form existed store all events in one **monolithic** section;
+//! the decoder still reads them (whole, once their CRC verifies). See
+//! `docs/STREAMING.md` for the framing contract.
 //!
 //! # Examples
 //!
@@ -40,10 +43,9 @@ use crate::program::{BlockExit, FuncId, Function, Program};
 use crate::source::BlockSource;
 use crate::trace::Trace;
 use ispy_artifact::{
-    varint, ArtifactError, ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader,
-    SectionWriter, StreamReader, StreamWriter,
+    narrow, ArtifactError, ArtifactKind, SectionReader, SectionWriter, StreamReader, StreamWriter,
 };
-use std::io::{Read, Seek, Write};
+use std::io::{Cursor, Read, Seek, Write};
 use std::path::Path;
 
 /// Program-level metadata: name, generator knobs, table sizes.
@@ -58,8 +60,9 @@ const SEC_FUNCS: u32 = 4;
 const SEC_OWNER: u32 = 5;
 /// Request paths: one function sequence per request type.
 const SEC_REQUEST_PATHS: u32 = 6;
-/// The dynamic trace, monolithic form: name plus the full block-event
-/// sequence (delta stream). Written by [`recording_to_bytes`].
+/// The dynamic trace, monolithic form: name, event count and the full
+/// block-event sequence (delta stream). Read-only: no writer emits it any
+/// more, but recordings made before the framed form still decode.
 const SEC_TRACE: u32 = 7;
 /// The dynamic trace, framed form: just the trace name. The events follow
 /// as frame sections. Written by [`RecordingWriter`].
@@ -78,9 +81,7 @@ const EXIT_BRANCH: u8 = 0;
 const EXIT_CALL: u8 = 1;
 const EXIT_RETURN: u8 = 2;
 
-/// Builds the six program sections (ids 1–6, in id order). Shared by the
-/// buffered and streaming writers so both forms carry bit-identical program
-/// payloads.
+/// Builds the six program sections (ids 1–6, in id order).
 fn program_sections(program: &Program) -> Vec<SectionWriter> {
     let mut meta = SectionWriter::new(SEC_META);
     meta.put_str(program.name());
@@ -144,38 +145,32 @@ fn program_sections(program: &Program) -> Vec<SectionWriter> {
     vec![meta, blocks, exits, funcs, owner, paths]
 }
 
-/// Serializes a recording to artifact bytes (monolithic trace section).
+/// Serializes a recording to artifact bytes (framed form).
+///
+/// # Panics
+///
+/// Panics if the trace references a block outside `program`, as
+/// [`RecordingWriter::push`] does.
 pub fn recording_to_bytes(program: &Program, trace: &Trace) -> Vec<u8> {
-    let mut w = ArtifactWriter::new(ArtifactKind::Trace);
-    for s in program_sections(program) {
-        w.finish_section(s);
-    }
-
-    let mut events = w.section(SEC_TRACE);
-    events.put_str(trace.name());
-    events.put_varint(trace.len() as u64);
-    for b in trace.iter() {
-        events.put_delta(u64::from(b.0));
-    }
-    w.finish_section(events);
-
-    w.to_bytes()
+    RecordingWriter::new(Cursor::new(Vec::new()), program, trace.name())
+        .and_then(|w| w.write_all(trace))
+        .expect("writing to memory cannot fail")
+        .into_inner()
 }
 
-/// Writes a recording to `path` (conventionally `*.itrace`).
+/// Writes a recording to `path` (conventionally `*.itrace`), creating parent
+/// directories as needed.
 ///
 /// # Errors
 ///
 /// [`ArtifactError::Io`] on filesystem failure.
+///
+/// # Panics
+///
+/// As [`recording_to_bytes`].
 pub fn write_recording(program: &Program, trace: &Trace, path: &Path) -> Result<(), ArtifactError> {
-    std::fs::create_dir_all(path.parent().unwrap_or_else(|| Path::new(".")))
-        .map_err(|e| ArtifactError::io(path, e))?;
-    std::fs::write(path, recording_to_bytes(program, trace)).map_err(|e| ArtifactError::io(path, e))
-}
-
-/// Checked narrowing with a typed error instead of a panicking cast.
-fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, ArtifactError> {
-    T::try_from(v).map_err(|_| ArtifactError::malformed(what, format!("value {v} out of range")))
+    RecordingWriter::create(path, program, trace.name())?.write_all(trace)?;
+    Ok(())
 }
 
 /// Range-checked conversion of a raw event to a [`BlockId`].
@@ -187,13 +182,10 @@ fn in_range_block(raw: u64, num_blocks: u64, what: &'static str) -> Result<Block
     }
 }
 
-/// Decodes the six program sections through `section` (a lookup from id to
-/// payload cursor). Shared by the buffered and streaming readers.
-fn decode_program<'a, F>(mut section: F) -> Result<Program, ArtifactError>
-where
-    F: FnMut(u32) -> Result<SectionReader<'a>, ArtifactError>,
-{
-    let mut meta = section(SEC_META)?;
+/// Decodes the six program section payloads (ids 1–6, in id order).
+fn decode_program(payloads: &[Vec<u8>; 6]) -> Result<Program, ArtifactError> {
+    let section = |id: u32| SectionReader::new(id, &payloads[(id - SEC_META) as usize]);
+    let mut meta = section(SEC_META);
     let name = meta.take_str()?;
     let data_footprint_lines = meta.take_varint()?;
     let branch_determinism = meta.take_f64()?;
@@ -211,7 +203,7 @@ where
         return Err(ArtifactError::malformed("program meta", "zero footprint or variants"));
     }
 
-    let mut blocks_sec = section(SEC_BLOCKS)?;
+    let mut blocks_sec = section(SEC_BLOCKS);
     let mut blocks = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         let start = blocks_sec.take_delta()?;
@@ -236,7 +228,7 @@ where
         }
     };
 
-    let mut exits_sec = section(SEC_EXITS)?;
+    let mut exits_sec = section(SEC_EXITS);
     let mut exits = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         exits.push(match exits_sec.take_u8()? {
@@ -260,7 +252,7 @@ where
     }
     exits_sec.finish()?;
 
-    let mut funcs_sec = section(SEC_FUNCS)?;
+    let mut funcs_sec = section(SEC_FUNCS);
     let mut funcs = Vec::with_capacity(num_funcs);
     for _ in 0..num_funcs {
         let entry = in_blocks(funcs_sec.take_varint()?, "function entry")?;
@@ -273,14 +265,14 @@ where
     }
     funcs_sec.finish()?;
 
-    let mut owner_sec = section(SEC_OWNER)?;
+    let mut owner_sec = section(SEC_OWNER);
     let mut owner = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         owner.push(in_funcs(owner_sec.take_delta()?, "block owner")?);
     }
     owner_sec.finish()?;
 
-    let mut paths_sec = section(SEC_REQUEST_PATHS)?;
+    let mut paths_sec = section(SEC_REQUEST_PATHS);
     let n_paths: usize = narrow(paths_sec.take_varint()?, "request path count")?;
     let mut request_paths = Vec::with_capacity(n_paths.min(1 << 16));
     for _ in 0..n_paths {
@@ -303,60 +295,28 @@ where
     Ok(program)
 }
 
-/// Decodes a recording from artifact bytes.
-///
-/// Accepts both trace forms: the monolithic `SEC_TRACE` section written by
-/// [`recording_to_bytes`] and the framed form written by
-/// [`RecordingWriter`]. The decoder is strict: every id is range-checked
-/// before any container type is constructed (their constructors panic on bad
-/// input, and corrupt bytes must never panic), and the reconstructed program
-/// must pass [`Program::validate`].
+/// Decodes a recording from artifact bytes by draining
+/// [`open_recording_stream`], so it accepts exactly what the streaming
+/// decoder accepts — both trace forms, every check.
 ///
 /// # Errors
 ///
 /// Any container-level defect or payload-level inconsistency maps to a
 /// typed [`ArtifactError`].
 pub fn recording_from_bytes(bytes: &[u8]) -> Result<(Program, Trace), ArtifactError> {
-    let r = ArtifactReader::from_bytes(bytes, ArtifactKind::Trace)?;
-    let program = decode_program(|id| r.require_section(id))?;
-    let num_blocks = program.num_blocks() as u64;
-
-    let (trace_name, events) = if let Some(mut events_sec) = r.section(SEC_TRACE) {
-        let trace_name = events_sec.take_str()?;
-        let n_events: usize = narrow(events_sec.take_varint()?, "trace length")?;
-        let mut events = Vec::with_capacity(n_events.min(1 << 24));
-        for _ in 0..n_events {
-            events.push(in_range_block(events_sec.take_delta()?, num_blocks, "trace event")?);
-        }
-        events_sec.finish()?;
-        (trace_name, events)
-    } else {
-        let mut head = r.require_section(SEC_TRACE_HEAD)?;
-        let trace_name = head.take_str()?;
-        head.finish()?;
-        let mut events = Vec::new();
-        let mut frame = 0u32;
-        while let Some(mut sec) = r.section(SEC_FRAME_BASE + frame) {
-            while sec.remaining() > 0 {
-                events.push(in_range_block(sec.take_delta()?, num_blocks, "trace event")?);
-            }
-            frame += 1;
-        }
-        (trace_name, events)
-    };
-
-    Ok((program, Trace::new(trace_name, events)))
+    let (program, stream) = open_recording_stream(bytes)?;
+    Ok((program, stream.into_trace()?))
 }
 
-/// Reads a recording from `path`.
+/// Reads a recording from `path` by draining [`open_recording_file`].
 ///
 /// # Errors
 ///
 /// [`ArtifactError::Io`] on filesystem failure, otherwise as
 /// [`recording_from_bytes`].
 pub fn read_recording(path: &Path) -> Result<(Program, Trace), ArtifactError> {
-    let bytes = std::fs::read(path).map_err(|e| ArtifactError::io(path, e))?;
-    recording_from_bytes(&bytes)
+    let (program, stream) = open_recording_file(path)?;
+    Ok((program, stream.into_trace()?))
 }
 
 /// Streams a recording to disk frame by frame, in bounded memory.
@@ -365,8 +325,8 @@ pub fn read_recording(path: &Path) -> Result<(Program, Trace), ArtifactError> {
 /// name — the event count is unknown up front) are written immediately;
 /// events pushed via [`push`](RecordingWriter::push) are buffered into
 /// [`FRAME_EVENTS`]-sized frame sections and flushed as they fill, so peak
-/// memory is one frame regardless of trace length. The resulting file reads
-/// back through [`read_recording`] *and* [`open_recording_stream`].
+/// memory is one frame regardless of trace length. This is the only
+/// encoder of trace events.
 ///
 /// # Examples
 ///
@@ -451,6 +411,12 @@ impl<W: Write + Seek> RecordingWriter<W> {
         self.events
     }
 
+    /// Pushes all of `trace` and seals the artifact.
+    fn write_all(mut self, trace: &Trace) -> Result<W, ArtifactError> {
+        self.push(trace.blocks())?;
+        self.finish()
+    }
+
     /// Flushes the final partial frame and seals the artifact, returning the
     /// sink.
     ///
@@ -496,46 +462,29 @@ impl RecordingWriter<std::io::BufWriter<std::fs::File>> {
     }
 }
 
-/// Bytes pulled off the source per refill in the monolithic-section decode
-/// path (the framed path reads whole frames instead).
-const RAW_CHUNK: usize = 64 * 1024;
-
-/// Upper bound on a trace name's encoded length — names are human-scale
-/// strings; a longer prefix means a corrupt or hostile file.
-const MAX_NAME_LEN: u64 = 1 << 20;
-
-/// Decode state specific to the two on-disk trace forms.
-#[derive(Debug)]
-enum StreamForm {
-    /// Monolithic [`SEC_TRACE`]: one continuous delta stream with a known
-    /// event count, decoded through a carry buffer so varints may span
-    /// refill boundaries.
-    Monolithic { raw: Vec<u8>, raw_pos: usize, last: u64, remaining_events: u64 },
-    /// Framed [`SEC_TRACE_HEAD`] + frame sections: each frame is decoded
-    /// whole (bounded by [`FRAME_EVENTS`]).
-    Framed { next_frame: u32 },
-}
-
-/// A [`BlockSource`] that decodes an `.itrace` event stream chunk by chunk.
+/// A [`BlockSource`] that decodes an `.itrace` event stream frame by frame.
 ///
-/// Obtained from [`open_recording_stream`]; handles both trace forms. Peak
-/// memory is one decode buffer regardless of file size.
+/// Obtained from [`open_recording_stream`]. Peak memory is one frame; a
+/// monolithic file written before the framed form holds its single trace
+/// section instead.
 ///
-/// **Integrity timing:** each frame section is CRC-verified before any of
-/// its events are handed out; the monolithic form's single CRC only
-/// resolves at end of section, so its events are provisional until the
-/// stream finishes (any corruption still surfaces as a typed error before
-/// the final chunk is delivered — a consumer that runs to completion can
-/// never mistake a corrupt file for a clean one).
+/// **Integrity timing:** every section — each frame, or a monolithic file's
+/// trace section — is CRC-verified before any of its events are handed out,
+/// and `Ok(None)` is only returned once the container's tail has verified
+/// too (declared section count, no trailing bytes). A consumer that runs to
+/// completion has replayed a fully verified file; sections out of order,
+/// missing or unknown are a typed error, never a shortened trace.
 #[derive(Debug)]
 pub struct TraceEventStream<R: Read> {
     reader: StreamReader<R>,
     num_blocks: u64,
     name: String,
-    form: StreamForm,
+    /// The frame the next section must be; `None` after a monolithic trace
+    /// section, which no section may follow.
+    next_frame: Option<u32>,
+    /// `out` holds a monolithic section's events not yet handed out.
+    pending: bool,
     out: Vec<BlockId>,
-    chunk_events: usize,
-    done: bool,
 }
 
 impl<R: Read> TraceEventStream<R> {
@@ -544,162 +493,45 @@ impl<R: Read> TraceEventStream<R> {
         &self.name
     }
 
-    /// Overrides the events-per-chunk target of the monolithic decode path
-    /// (frames always decode whole). For tests and tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn set_chunk_events(&mut self, n: usize) {
-        assert!(n > 0, "chunk size must be positive");
-        self.chunk_events = n;
-    }
-
-    /// Ensures the carry buffer holds at least `want` undecoded bytes, or
-    /// as many as the section has left.
-    fn refill(
-        reader: &mut StreamReader<R>,
-        raw: &mut Vec<u8>,
-        raw_pos: &mut usize,
-        want: usize,
-    ) -> Result<(), ArtifactError> {
-        while raw.len() - *raw_pos < want {
-            if *raw_pos > 0 {
-                raw.drain(..*raw_pos);
-                *raw_pos = 0;
-            }
-            let old_len = raw.len();
-            raw.resize(old_len + RAW_CHUNK, 0);
-            let n = reader.read_chunk(&mut raw[old_len..])?;
-            raw.truncate(old_len + n);
-            if n == 0 {
-                break;
-            }
+    /// Drains the remaining events into a [`Trace`].
+    fn into_trace(mut self) -> Result<Trace, ArtifactError> {
+        let mut events = Vec::new();
+        while let Some(chunk) = self.next_chunk()? {
+            events.extend_from_slice(chunk);
         }
-        Ok(())
-    }
-
-    /// Decodes a length-prefixed string from the carry buffer.
-    fn take_str_buffered(
-        reader: &mut StreamReader<R>,
-        raw: &mut Vec<u8>,
-        raw_pos: &mut usize,
-    ) -> Result<String, ArtifactError> {
-        Self::refill(reader, raw, raw_pos, 10)?;
-        let (len, n) = varint::take_u64(&raw[*raw_pos..])?;
-        *raw_pos += n;
-        if len > MAX_NAME_LEN {
-            return Err(ArtifactError::malformed(
-                "trace name",
-                format!("implausible length {len}"),
-            ));
-        }
-        Self::refill(reader, raw, raw_pos, len as usize)?;
-        if (raw.len() - *raw_pos) < len as usize {
-            return Err(ArtifactError::Truncated { context: "string" });
-        }
-        let bytes = &raw[*raw_pos..*raw_pos + len as usize];
-        let s = String::from_utf8(bytes.to_vec())
-            .map_err(|e| ArtifactError::malformed("string", e.to_string()))?;
-        *raw_pos += len as usize;
-        Ok(s)
-    }
-
-    /// Fills `out` with up to `chunk_events` events of the monolithic form.
-    fn next_monolithic(&mut self) -> Result<Option<&[BlockId]>, ArtifactError> {
-        let StreamForm::Monolithic { raw, raw_pos, last, remaining_events } = &mut self.form else {
-            unreachable!("monolithic decode on framed stream")
-        };
-        if *remaining_events == 0 {
-            // Declared events all delivered: the payload must be exactly
-            // consumed and no sections may follow.
-            Self::refill(&mut self.reader, raw, raw_pos, 1)?;
-            if raw.len() - *raw_pos != 0 {
-                return Err(ArtifactError::malformed(
-                    "trace",
-                    "bytes remain after the declared events",
-                ));
-            }
-            if self.reader.next_section()?.is_some() {
-                return Err(ArtifactError::malformed(
-                    "section order",
-                    "unexpected section after the trace events",
-                ));
-            }
-            self.done = true;
-            return Ok(None);
-        }
-        let want = u64::min(self.chunk_events as u64, *remaining_events) as usize;
-        self.out.clear();
-        while self.out.len() < want {
-            // A varint is at most 10 bytes: with that much buffered (or the
-            // section exhausted) a decode failure is real, not a boundary
-            // artifact.
-            Self::refill(&mut self.reader, raw, raw_pos, 10)?;
-            let (d, n) = varint::take_i64(&raw[*raw_pos..])?;
-            *raw_pos += n;
-            *last = last.wrapping_add(d as u64);
-            self.out.push(in_range_block(*last, self.num_blocks, "trace event")?);
-        }
-        *remaining_events -= self.out.len() as u64;
-        Ok(Some(&self.out))
-    }
-
-    /// Decodes the next frame section whole.
-    fn next_framed(&mut self) -> Result<Option<&[BlockId]>, ArtifactError> {
-        let StreamForm::Framed { next_frame } = &mut self.form else {
-            unreachable!("framed decode on monolithic stream")
-        };
-        loop {
-            match self.reader.next_section()? {
-                None => {
-                    self.done = true;
-                    return Ok(None);
-                }
-                Some((id, _)) if id == SEC_FRAME_BASE + *next_frame => {
-                    *next_frame += 1;
-                    let payload = self.reader.take_payload()?;
-                    let mut sec = SectionReader::new(id, &payload);
-                    self.out.clear();
-                    while sec.remaining() > 0 {
-                        let v = sec.take_delta()?;
-                        self.out.push(in_range_block(v, self.num_blocks, "trace event")?);
-                    }
-                    if !self.out.is_empty() {
-                        return Ok(Some(&self.out));
-                    }
-                    // Tolerate (skip) an empty frame a foreign writer made.
-                }
-                Some((id, _)) => {
-                    return Err(ArtifactError::malformed(
-                        "section order",
-                        format!(
-                            "expected frame {}, found section {id}",
-                            SEC_FRAME_BASE + *next_frame
-                        ),
-                    ));
-                }
-            }
-        }
+        Ok(Trace::new(self.name, events))
     }
 }
 
 impl<R: Read> BlockSource for TraceEventStream<R> {
     fn next_chunk(&mut self) -> Result<Option<&[BlockId]>, ArtifactError> {
-        if self.done {
-            return Ok(None);
+        if std::mem::take(&mut self.pending) && !self.out.is_empty() {
+            return Ok(Some(&self.out));
         }
-        match self.form {
-            StreamForm::Monolithic { .. } => self.next_monolithic(),
-            StreamForm::Framed { .. } => self.next_framed(),
+        while let Some((id, _)) = self.reader.next_section()? {
+            let Some(frame) = self.next_frame.filter(|&f| id == SEC_FRAME_BASE + f) else {
+                let want = match self.next_frame {
+                    Some(f) => format!("frame {f} (section {})", SEC_FRAME_BASE + f),
+                    None => "the end of the trace".to_string(),
+                };
+                return Err(ArtifactError::malformed(
+                    "section order",
+                    format!("expected {want}, found section {id}"),
+                ));
+            };
+            self.next_frame = Some(frame + 1);
+            let payload = self.reader.take_payload()?;
+            let mut sec = SectionReader::new(id, &payload);
+            self.out.clear();
+            while sec.remaining() > 0 {
+                self.out.push(in_range_block(sec.take_delta()?, self.num_blocks, "trace event")?);
+            }
+            // An empty frame (which a foreign writer may make) is skipped.
+            if !self.out.is_empty() {
+                return Ok(Some(&self.out));
+            }
         }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        match &self.form {
-            StreamForm::Monolithic { remaining_events, .. } => Some(*remaining_events),
-            StreamForm::Framed { .. } => None,
-        }
+        Ok(None)
     }
 }
 
@@ -707,14 +539,15 @@ impl<R: Read> BlockSource for TraceEventStream<R> {
 /// (it is small and the simulator needs it whole) and returns the event
 /// sections as a [`BlockSource`] that decodes on demand.
 ///
-/// The reader is sequential and expects the section order our writers
-/// produce (program sections 1–6, then the trace); it accepts both trace
-/// forms.
+/// The reader is sequential and expects the section order the writer
+/// produces (program sections 1–6, then the trace); it also accepts the
+/// monolithic trace form of older files.
 ///
 /// # Errors
 ///
-/// Header/program-section corruption surfaces here; event-payload
-/// corruption surfaces from the returned stream's `next_chunk`.
+/// Header/program-section corruption (and a monolithic file's trace
+/// corruption) surfaces here; frame corruption surfaces from the returned
+/// stream's `next_chunk`.
 ///
 /// # Examples
 ///
@@ -752,42 +585,37 @@ pub fn open_recording_stream<R: Read>(
             None => return Err(ArtifactError::MissingSection { id: expect }),
         }
     }
-    let program =
-        decode_program(|id| Ok(SectionReader::new(id, &payloads[(id - SEC_META) as usize])))?;
+    let program = decode_program(&payloads)?;
     let num_blocks = program.num_blocks() as u64;
 
-    let stream = match reader.next_section()? {
-        Some((SEC_TRACE, _)) => {
-            let mut raw = Vec::new();
-            let mut raw_pos = 0;
-            let name = TraceEventStream::take_str_buffered(&mut reader, &mut raw, &mut raw_pos)?;
-            TraceEventStream::refill(&mut reader, &mut raw, &mut raw_pos, 10)?;
-            let (remaining_events, n) = varint::take_u64(&raw[raw_pos..])?;
-            raw_pos += n;
-            TraceEventStream {
-                reader,
-                num_blocks,
-                name,
-                form: StreamForm::Monolithic { raw, raw_pos, last: 0, remaining_events },
-                out: Vec::new(),
-                chunk_events: crate::source::DEFAULT_CHUNK_EVENTS,
-                done: false,
-            }
-        }
+    let mut stream = TraceEventStream {
+        reader,
+        num_blocks,
+        name: String::new(),
+        next_frame: Some(0),
+        pending: false,
+        out: Vec::new(),
+    };
+    match stream.reader.next_section()? {
         Some((SEC_TRACE_HEAD, _)) => {
-            let payload = reader.take_payload()?;
+            let payload = stream.reader.take_payload()?;
             let mut head = SectionReader::new(SEC_TRACE_HEAD, &payload);
-            let name = head.take_str()?;
+            stream.name = head.take_str()?;
             head.finish()?;
-            TraceEventStream {
-                reader,
-                num_blocks,
-                name,
-                form: StreamForm::Framed { next_frame: 0 },
-                out: Vec::new(),
-                chunk_events: crate::source::DEFAULT_CHUNK_EVENTS,
-                done: false,
+        }
+        Some((SEC_TRACE, _)) => {
+            // The monolithic form: decoded whole once its CRC has verified.
+            let payload = stream.reader.take_payload()?;
+            let mut sec = SectionReader::new(SEC_TRACE, &payload);
+            stream.name = sec.take_str()?;
+            let n_events: usize = narrow(sec.take_varint()?, "trace length")?;
+            stream.out.reserve(n_events.min(sec.remaining()));
+            for _ in 0..n_events {
+                stream.out.push(in_range_block(sec.take_delta()?, num_blocks, "trace event")?);
             }
+            sec.finish()?;
+            stream.next_frame = None;
+            stream.pending = true;
         }
         Some((id, _)) => {
             return Err(ArtifactError::malformed(
@@ -795,8 +623,8 @@ pub fn open_recording_stream<R: Read>(
                 format!("expected a trace section, found {id}"),
             ))
         }
-        None => return Err(ArtifactError::MissingSection { id: SEC_TRACE }),
-    };
+        None => return Err(ArtifactError::MissingSection { id: SEC_TRACE_HEAD }),
+    }
     Ok((program, stream))
 }
 
@@ -824,6 +652,43 @@ mod tests {
         let program = model.generate();
         let trace = program.record_trace(model.default_input(), 2_000);
         (program, trace)
+    }
+
+    /// A monolithic recording from before the framed form existed, made by
+    /// `repro record finagle-http --test-scale --events 2000`.
+    const MONOLITHIC: &[u8] = include_bytes!("../../../tests/data/finagle-http-monolithic.itrace");
+
+    /// The program and trace [`MONOLITHIC`] holds (`--test-scale` shrinks
+    /// the model 20x).
+    fn monolithic_recording() -> (Program, Trace) {
+        let model = apps::finagle_http().scaled_down(20);
+        let program = model.generate();
+        let trace = program.record_trace(model.default_input(), 2_000);
+        (program, trace)
+    }
+
+    /// Frames `sections` into a trace container by hand, for layouts the
+    /// writer refuses to produce.
+    fn container(sections: Vec<SectionWriter>) -> Vec<u8> {
+        let mut w = StreamWriter::new(Cursor::new(Vec::new()), ArtifactKind::Trace).unwrap();
+        for s in sections {
+            w.write_section(s).unwrap();
+        }
+        w.finish().unwrap().into_inner()
+    }
+
+    /// The monolithic form, hand-built: program sections, then one
+    /// `SEC_TRACE` section holding name, count and every event.
+    fn monolithic_bytes(program: &Program, trace: &Trace) -> Vec<u8> {
+        let mut events = SectionWriter::new(SEC_TRACE);
+        events.put_str(trace.name());
+        events.put_varint(trace.len() as u64);
+        for b in trace.iter() {
+            events.put_delta(u64::from(b.0));
+        }
+        let mut sections = program_sections(program);
+        sections.push(events);
+        container(sections)
     }
 
     #[test]
@@ -871,13 +736,38 @@ mod tests {
     }
 
     #[test]
+    fn monolithic_fixture_is_the_documented_layout() {
+        // The committed file is byte for byte the hand-built monolithic form
+        // of its recording, so the decoder tests below exercise that layout.
+        let (program, trace) = monolithic_recording();
+        assert_eq!(monolithic_bytes(&program, &trace), MONOLITHIC);
+    }
+
+    #[test]
     fn out_of_range_trace_event_is_malformed() {
         let (program, _) = sample();
         let bogus = Trace::new("bad", vec![BlockId(program.num_blocks() as u32)]);
-        let bytes = recording_to_bytes(&program, &bogus);
+        let bytes = monolithic_bytes(&program, &bogus);
         assert!(matches!(
             recording_from_bytes(&bytes),
             Err(ArtifactError::Malformed { context: "trace event", .. })
+        ));
+    }
+
+    #[test]
+    fn sections_after_a_monolithic_trace_are_rejected() {
+        // A frame appended to a monolithic file is not more events.
+        let (program, trace) = sample();
+        let mut events = SectionWriter::new(SEC_TRACE);
+        events.put_str(trace.name());
+        events.put_varint(0);
+        let mut frame = SectionWriter::new(SEC_FRAME_BASE);
+        frame.put_delta(0);
+        let mut sections = program_sections(&program);
+        sections.extend([events, frame]);
+        assert!(matches!(
+            recording_from_bytes(&container(sections)),
+            Err(ArtifactError::Malformed { context: "section order", .. })
         ));
     }
 
@@ -895,8 +785,7 @@ mod tests {
 
     /// Encodes via the streaming writer into memory.
     fn framed_bytes(program: &Program, trace: &Trace) -> Vec<u8> {
-        let mut w =
-            RecordingWriter::new(std::io::Cursor::new(Vec::new()), program, trace.name()).unwrap();
+        let mut w = RecordingWriter::new(Cursor::new(Vec::new()), program, trace.name()).unwrap();
         // Push in uneven slices so frame boundaries don't align with pushes.
         for piece in trace.blocks().chunks(777) {
             w.push(piece).unwrap();
@@ -915,8 +804,12 @@ mod tests {
 
     #[test]
     fn framed_form_round_trips_through_the_buffered_decoder() {
+        // Uneven pushes decode back exactly through the materializing
+        // decoder, and produce the same bytes as one whole-trace push.
         let (program, trace) = sample();
-        let (p2, t2) = recording_from_bytes(&framed_bytes(&program, &trace)).unwrap();
+        let bytes = framed_bytes(&program, &trace);
+        assert_eq!(bytes, recording_to_bytes(&program, &trace));
+        let (p2, t2) = recording_from_bytes(&bytes).unwrap();
         assert_eq!(p2.name(), program.name());
         assert_eq!(p2.blocks(), program.blocks());
         assert_eq!(t2, trace);
@@ -924,10 +817,11 @@ mod tests {
 
     #[test]
     fn both_forms_stream_back_identically() {
-        let (program, trace) = sample();
-        for bytes in [recording_to_bytes(&program, &trace), framed_bytes(&program, &trace)] {
+        let (program, trace) = monolithic_recording();
+        for bytes in [MONOLITHIC.to_vec(), framed_bytes(&program, &trace)] {
             let (p2, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
             assert_eq!(p2.name(), program.name());
+            assert_eq!(p2.blocks(), program.blocks());
             assert_eq!(stream.name(), trace.name());
             assert_eq!(drain(&mut stream), trace.blocks());
             assert_eq!(stream.next_chunk().unwrap(), None, "stream must stay exhausted");
@@ -935,37 +829,45 @@ mod tests {
     }
 
     #[test]
-    fn monolithic_stream_decode_is_chunk_size_invariant() {
-        let (program, trace) = sample();
-        let bytes = recording_to_bytes(&program, &trace);
-        for chunk in [1usize, 3, 1024, trace.len(), 1 << 22] {
-            let (_, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
-            stream.set_chunk_events(chunk);
-            assert_eq!(drain(&mut stream), trace.blocks(), "chunk {chunk}");
+    fn stream_decode_is_push_size_invariant() {
+        // Frame boundaries are fixed by FRAME_EVENTS, never by how events
+        // were pushed: the bytes, and so the decoded chunks, are the same
+        // for every push size across several frames.
+        let model = apps::kafka().scaled_down(60);
+        let program = model.generate();
+        let trace = program.record_trace(model.default_input(), 2 * FRAME_EVENTS + 123);
+        let reference = recording_to_bytes(&program, &trace);
+        for push in [1usize, 3, 1024, FRAME_EVENTS, trace.len()] {
+            let mut w =
+                RecordingWriter::new(Cursor::new(Vec::new()), &program, trace.name()).unwrap();
+            for piece in trace.blocks().chunks(push) {
+                w.push(piece).unwrap();
+            }
+            assert_eq!(w.finish().unwrap().into_inner(), reference, "push {push}");
         }
-    }
-
-    #[test]
-    fn len_hint_tracks_the_monolithic_form() {
-        let (program, trace) = sample();
-        let bytes = recording_to_bytes(&program, &trace);
-        let (_, mut stream) = open_recording_stream(bytes.as_slice()).unwrap();
-        assert_eq!(stream.len_hint(), Some(trace.len() as u64));
-        stream.set_chunk_events(500);
-        let first = stream.next_chunk().unwrap().unwrap().len();
-        assert_eq!(stream.len_hint(), Some((trace.len() - first) as u64));
-        let framed = framed_bytes(&program, &trace);
-        let (_, stream) = open_recording_stream(framed.as_slice()).unwrap();
-        assert_eq!(stream.len_hint(), None);
+        let (_, mut stream) = open_recording_stream(reference.as_slice()).unwrap();
+        let mut chunks = Vec::new();
+        while let Some(chunk) = stream.next_chunk().unwrap() {
+            chunks.push(chunk.to_vec());
+        }
+        assert_eq!(
+            chunks.iter().map(Vec::len).collect::<Vec<_>>(),
+            [FRAME_EVENTS, FRAME_EVENTS, 123]
+        );
+        assert_eq!(chunks.concat(), trace.blocks());
+        // The monolithic form hands its one verified section out whole.
+        let (_, mut stream) = open_recording_stream(MONOLITHIC).unwrap();
+        assert_eq!(stream.next_chunk().unwrap().map(<[BlockId]>::len), Some(2_000));
+        assert_eq!(stream.next_chunk().unwrap(), None);
     }
 
     #[test]
     fn truncated_streams_yield_typed_errors_not_partial_results() {
-        let (program, trace) = sample();
-        for bytes in [recording_to_bytes(&program, &trace), framed_bytes(&program, &trace)] {
+        let (program, trace) = monolithic_recording();
+        for bytes in [MONOLITHIC.to_vec(), framed_bytes(&program, &trace)] {
             // Cut in the middle of the event data (well past the program
             // sections) and at the very end (missing trailer CRC bytes).
-            for cut in [bytes.len() - bytes.len() / 4, bytes.len() - 2] {
+            for cut in [bytes.len() - 1_000, bytes.len() - 2] {
                 let truncated = &bytes[..cut];
                 let mut err = None;
                 match open_recording_stream(truncated) {
@@ -1000,22 +902,16 @@ mod tests {
     #[test]
     fn out_of_range_event_in_framed_form_is_malformed() {
         let (program, _) = sample();
-        let bogus = Trace::new("bad", vec![BlockId(0), BlockId(program.num_blocks() as u32)]);
         // RecordingWriter refuses to write it; hand-build the frame instead.
-        let mut w =
-            StreamWriter::new(std::io::Cursor::new(Vec::new()), ArtifactKind::Trace).unwrap();
-        for s in program_sections(&program) {
-            w.write_section(s).unwrap();
-        }
         let mut head = SectionWriter::new(SEC_TRACE_HEAD);
         head.put_str("bad");
-        w.write_section(head).unwrap();
         let mut frame = SectionWriter::new(SEC_FRAME_BASE);
-        for b in bogus.iter() {
-            frame.put_delta(u64::from(b.0));
+        for b in [0, program.num_blocks() as u64] {
+            frame.put_delta(b);
         }
-        w.write_section(frame).unwrap();
-        let bytes = w.finish().unwrap().into_inner();
+        let mut sections = program_sections(&program);
+        sections.extend([head, frame]);
+        let bytes = container(sections);
         assert!(matches!(
             recording_from_bytes(&bytes),
             Err(ArtifactError::Malformed { context: "trace event", .. })
@@ -1039,7 +935,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn recording_writer_rejects_foreign_blocks() {
         let (program, _) = sample();
-        let mut w = RecordingWriter::new(std::io::Cursor::new(Vec::new()), &program, "x").unwrap();
+        let mut w = RecordingWriter::new(Cursor::new(Vec::new()), &program, "x").unwrap();
         let _ = w.push(&[BlockId(program.num_blocks() as u32)]);
     }
 
@@ -1055,7 +951,7 @@ mod tests {
         let (p2, mut stream) = open_recording_file(&path).unwrap();
         assert_eq!(p2.name(), program.name());
         assert_eq!(drain(&mut stream), trace.blocks());
-        // The same file also loads through the buffered path.
+        // The same file also loads through the materializing path.
         let (_, t2) = read_recording(&path).unwrap();
         assert_eq!(t2, trace);
         std::fs::remove_dir_all(&dir).unwrap();

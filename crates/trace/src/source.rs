@@ -46,21 +46,11 @@ pub trait BlockSource {
     /// Decoding sources surface corruption/truncation as typed
     /// [`ArtifactError`]s; in-memory and generator sources never fail.
     fn next_chunk(&mut self) -> Result<Option<&[BlockId]>, ArtifactError>;
-
-    /// Total events this source will still yield, when cheaply known.
-    /// `None` for open-ended or framed sources.
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
 }
 
 impl<S: BlockSource + ?Sized> BlockSource for &mut S {
     fn next_chunk(&mut self) -> Result<Option<&[BlockId]>, ArtifactError> {
         (**self).next_chunk()
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        (**self).len_hint()
     }
 }
 
@@ -128,10 +118,6 @@ impl BlockSource for TraceBlocks<'_> {
         let out = &self.blocks[self.pos..self.pos + take];
         self.pos += take;
         Ok(Some(out))
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some((self.blocks.len() - self.pos) as u64)
     }
 }
 
@@ -201,10 +187,6 @@ impl BlockSource for WalkerSource<'_> {
         self.remaining -= self.buf.len() as u64;
         Ok(Some(&self.buf))
     }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.remaining)
-    }
 }
 
 #[cfg(test)]
@@ -228,9 +210,7 @@ mod tests {
     fn trace_blocks_single_pull_is_the_whole_slice() {
         let blocks: Vec<BlockId> = (0..100u32).map(BlockId).collect();
         let mut s = TraceBlocks::new(&blocks);
-        assert_eq!(s.len_hint(), Some(100));
         assert_eq!(s.next_chunk().unwrap(), Some(blocks.as_slice()));
-        assert_eq!(s.len_hint(), Some(0));
         assert_eq!(s.next_chunk().unwrap(), None);
     }
 

@@ -10,7 +10,9 @@ use ispy_sim::{
     replay_stream, run, run_streaming, simulate_sharded_source, GenWindows, RunOptions,
     ShardConfig, SimConfig, SliceWindows,
 };
-use ispy_trace::artifact::{open_recording_stream, recording_to_bytes, RecordingWriter};
+use ispy_trace::artifact::{
+    open_recording_stream, recording_to_bytes, RecordingWriter, FRAME_EVENTS,
+};
 use ispy_trace::{apps, AppModel, BlockSource, TraceBlocks, Walker, WalkerSource};
 
 const EVENTS: usize = 6_000;
@@ -74,29 +76,39 @@ fn chunk_size_never_changes_the_result() {
     }
 }
 
-/// The decoder source is chunk-invariant too, on both `.itrace` forms:
-/// monolithic (buffered writer) and framed (streamed writer).
+/// The decoder source is chunk-invariant too, on both `.itrace` forms. The
+/// framed form's bytes, and so its decoded chunks, do not depend on how the
+/// writer was fed; a trace spanning several frames replays to the reference
+/// result. The monolithic form of older files (a committed recording, since
+/// no writer emits it any more) replays to its reference as well.
 #[test]
 fn decoder_chunk_size_never_changes_the_result() {
     let cfg = SimConfig::default();
-    let model = apps::tomcat();
-    let (program, trace) = workload(&model);
+    let model = apps::tomcat().scaled_down(30);
+    let program = model.generate();
+    let trace = program.record_trace(model.default_input(), 2 * FRAME_EVENTS + 777);
     let reference = run(&program, &trace, &cfg, RunOptions::default());
-
-    let monolithic = recording_to_bytes(&program, &trace);
-    let mut writer =
-        RecordingWriter::new(std::io::Cursor::new(Vec::new()), &program, trace.name()).unwrap();
-    writer.push(trace.blocks()).unwrap();
-    let framed = writer.finish().unwrap().into_inner();
-
-    for (form, bytes) in [("monolithic", &monolithic), ("framed", &framed)] {
-        for chunk in [1usize, 4 * 1024, 1024 * 1024, EVENTS] {
-            let (program, mut decoder) = open_recording_stream(bytes.as_slice()).unwrap();
-            decoder.set_chunk_events(chunk);
-            let got = run_streaming(&program, &mut decoder, &cfg, RunOptions::default()).unwrap();
-            assert_eq!(got, reference, "{form} form, chunk {chunk} diverged");
+    let framed = recording_to_bytes(&program, &trace);
+    for chunk in [1usize, 4 * 1024, 1024 * 1024, EVENTS] {
+        let mut writer =
+            RecordingWriter::new(std::io::Cursor::new(Vec::new()), &program, trace.name()).unwrap();
+        for piece in trace.blocks().chunks(chunk) {
+            writer.push(piece).unwrap();
         }
+        assert_eq!(writer.finish().unwrap().into_inner(), framed, "push size {chunk} diverged");
     }
+    let (decoded, mut decoder) = open_recording_stream(framed.as_slice()).unwrap();
+    let got = run_streaming(&decoded, &mut decoder, &cfg, RunOptions::default()).unwrap();
+    assert_eq!(got, reference, "framed form diverged");
+
+    let model = apps::finagle_http().scaled_down(20);
+    let program = model.generate();
+    let trace = program.record_trace(model.default_input(), 2_000);
+    let reference = run(&program, &trace, &cfg, RunOptions::default());
+    let monolithic = include_bytes!("data/finagle-http-monolithic.itrace");
+    let (decoded, mut decoder) = open_recording_stream(&monolithic[..]).unwrap();
+    let got = run_streaming(&decoded, &mut decoder, &cfg, RunOptions::default()).unwrap();
+    assert_eq!(got, reference, "monolithic form diverged");
 }
 
 /// Streaming with an injection plan equals injected `run` — the fast path
