@@ -109,28 +109,28 @@ impl AdaptOutcome {
             .windows
             .iter()
             .map(|w| {
-                Json::Obj(vec![
-                    ("adaptive_mpki".to_string(), Json::Num(w.adaptive_mpki)),
-                    ("oracle_mpki".to_string(), Json::Num(w.oracle_mpki)),
-                    ("replan_ms".to_string(), Json::Num(w.replan_ms)),
+                Json::obj([
+                    ("adaptive_mpki", Json::Num(w.adaptive_mpki)),
+                    ("oracle_mpki", Json::Num(w.oracle_mpki)),
+                    ("replan_ms", Json::Num(w.replan_ms)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("app".to_string(), Json::Str(self.app.clone())),
-            ("events".to_string(), Json::Num(self.events as f64)),
-            ("window".to_string(), Json::Num(self.window as f64)),
-            ("epochs".to_string(), Json::Num(self.epochs as f64)),
-            ("swaps".to_string(), Json::Num(self.swaps as f64)),
-            ("windows".to_string(), Json::Arr(windows)),
-            ("adaptive_mpki".to_string(), Json::Num(self.adaptive_total.mpki())),
-            ("oracle_mpki".to_string(), Json::Num(self.oracle_total.mpki())),
-            ("replan_full_ms".to_string(), Json::Num(self.replan_full_ms)),
-            ("replan_delta_ms".to_string(), Json::Num(self.replan_delta_ms)),
-            ("replan_speedup".to_string(), Json::Num(self.replan_speedup())),
-            ("plans_identical".to_string(), Json::Bool(self.plans_identical)),
-            ("delta_samples".to_string(), Json::Num(self.delta_samples as f64)),
-            ("total_samples".to_string(), Json::Num(self.total_samples as f64)),
+        Json::obj([
+            ("app", Json::Str(self.app.clone())),
+            ("events", Json::Num(self.events as f64)),
+            ("window", Json::Num(self.window as f64)),
+            ("epochs", Json::Num(self.epochs as f64)),
+            ("swaps", Json::Num(self.swaps as f64)),
+            ("windows", Json::Arr(windows)),
+            ("adaptive_mpki", Json::Num(self.adaptive_total.mpki())),
+            ("oracle_mpki", Json::Num(self.oracle_total.mpki())),
+            ("replan_full_ms", Json::Num(self.replan_full_ms)),
+            ("replan_delta_ms", Json::Num(self.replan_delta_ms)),
+            ("replan_speedup", Json::Num(self.replan_speedup())),
+            ("plans_identical", Json::Bool(self.plans_identical)),
+            ("delta_samples", Json::Num(self.delta_samples as f64)),
+            ("total_samples", Json::Num(self.total_samples as f64)),
         ])
         .to_pretty()
     }

@@ -34,8 +34,9 @@
 use ispy_artifact::ArtifactError;
 use ispy_harness::cache::{ArtifactCache, DEFAULT_CACHE_DIR};
 use ispy_harness::enginebench::{self, BenchRun};
-use ispy_harness::{explain, figures, metrics, Scale, Session};
-use ispy_telemetry::{Telemetry, TimingMode};
+use ispy_harness::metrics::{self, TimingMode};
+use ispy_harness::{explain, figures, Scale, Session};
+use ispy_telemetry::Telemetry;
 use ispy_trace::{apps, AppModel};
 use std::ops::RangeBounds;
 use std::path::{Path, PathBuf};
@@ -398,7 +399,7 @@ fn run_figures(args: &[String]) -> Outcome {
         }
     }
     if let Some(dir) = &metrics_dir {
-        write_file(&dir.join("outcomes.json"), metrics::outcome_summary(&session))?;
+        write_file(&dir.join("outcomes.json"), metrics::outcome_summary(&session).to_pretty())?;
     }
     Ok(())
 }
@@ -409,8 +410,8 @@ fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), String> {
 
 /// Writes the current global registry as `<dir>/<name>.telemetry.json`.
 fn write_telemetry(dir: &Path, name: &str) -> Result<(), String> {
-    let json = ispy_telemetry::global().to_json(TimingMode::Full);
-    write_file(&dir.join(format!("{name}.telemetry.json")), json)
+    let json = metrics::telemetry_summary(&ispy_telemetry::global(), TimingMode::Full);
+    write_file(&dir.join(format!("{name}.telemetry.json")), json.to_pretty())
 }
 
 /// `repro explain <app>`: prepare just that app and print the markdown

@@ -17,6 +17,7 @@ use crate::session::Scale;
 use ispy_baselines::asmdb::AsmDbConfig;
 use ispy_core::planner::Plan;
 use ispy_core::IspyConfig;
+use ispy_profile::digest::ContentHasher;
 use ispy_profile::Profile;
 use ispy_sim::SimConfig;
 use ispy_trace::{Program, Trace};
@@ -24,18 +25,6 @@ use std::path::{Path, PathBuf};
 
 /// The default cache directory (`repro --cache` with no `=DIR`).
 pub const DEFAULT_CACHE_DIR: &str = ".ispy-cache";
-
-/// 64-bit FNV-1a over a byte string — stable across runs and platforms,
-/// which is all a cache key needs (this is not a security boundary; the
-/// artifact CRCs handle integrity).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A directory of memoized pipeline artifacts for one (scale, configs) key.
 #[derive(Debug, Clone)]
@@ -64,11 +53,15 @@ impl ArtifactCache {
             IspyConfig::default(),
             AsmDbConfig::default(),
         ));
+        // FNV-1a 64: stable across runs and platforms, which is all a cache
+        // key needs (the artifact CRCs handle integrity).
+        let mut key = ContentHasher::new();
+        key.write_bytes(key_src.as_bytes());
         ArtifactCache {
             dir: dir.into(),
             shrink: scale.shrink,
             events: scale.events,
-            key: fnv1a(key_src.as_bytes()),
+            key: key.finish(),
         }
     }
 
@@ -219,6 +212,16 @@ mod tests {
             .unwrap();
         assert!(cache.load_recording("kafka").is_none());
         std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    #[test]
+    fn key_is_stable_across_releases() {
+        // Pinned from an existing `.ispy-cache`: a new hasher or key layout
+        // would silently turn every cached artifact into a miss. A config or
+        // format-version change is meant to move this value.
+        let cache = ArtifactCache::new(std::env::temp_dir(), Scale::test());
+        let name = cache.trace_path("kafka").file_name().unwrap().to_owned();
+        assert_eq!(name, "kafka-s20-e50000-c67bcf4858c5f1c2c.itrace");
     }
 
     #[test]

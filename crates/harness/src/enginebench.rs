@@ -37,7 +37,7 @@
 //! reworks stays visible.
 
 use crate::adapt::replan_workload;
-use crate::json::Json;
+use crate::json::{round2, Json};
 use crate::rss;
 use crate::workload::miss_derived_plan;
 use ispy_core::{IspyConfig, Planner};
@@ -291,28 +291,25 @@ pub fn history_entry(run: &BenchRun, label: &str) -> Json {
         // Block-rate rows are in the millions — whole numbers suffice; the
         // plans/sec rows are single digits at full sizing, so keep two
         // decimals or the recorded speedup ratio goes coarse.
-        let recorded = if r.unit() == "plans/s" {
-            (r.blocks_per_sec * 100.0).round() / 100.0
-        } else {
-            r.blocks_per_sec.round()
-        };
+        let recorded =
+            if r.unit() == "plans/s" { round2(r.blocks_per_sec) } else { r.blocks_per_sec.round() };
         rows.push((r.name.to_string(), Json::Num(recorded)));
         if let Some(rss) = r.peak_rss_bytes {
             rss_rows.push((r.name.to_string(), Json::Num(rss as f64)));
         }
     }
     let mut fields = vec![
-        ("label".to_string(), Json::Str(label.to_string())),
-        ("quick".to_string(), Json::Bool(run.quick)),
-        ("events".to_string(), Json::Num(run.events as f64)),
-        ("reps".to_string(), Json::Num(run.reps as f64)),
-        ("threads".to_string(), Json::Num(1.0)),
-        ("blocks_per_sec".to_string(), Json::Obj(rows)),
+        ("label", Json::Str(label.to_string())),
+        ("quick", Json::Bool(run.quick)),
+        ("events", Json::Num(run.events as f64)),
+        ("reps", Json::Num(run.reps as f64)),
+        ("threads", Json::Num(1.0)),
+        ("blocks_per_sec", Json::Obj(rows)),
     ];
     if !rss_rows.is_empty() {
-        fields.push(("peak_rss_bytes".to_string(), Json::Obj(rss_rows)));
+        fields.push(("peak_rss_bytes", Json::Obj(rss_rows)));
     }
-    Json::Obj(fields)
+    Json::obj(fields)
 }
 
 /// Loads and parses a benchmark history file.
@@ -329,10 +326,10 @@ pub fn append_history(path: &Path, entry: Json) -> Result<(), String> {
     let mut doc = if path.exists() {
         load_history(path)?
     } else {
-        Json::Obj(vec![
-            ("bench".to_string(), Json::Str("engine".to_string())),
-            ("app".to_string(), Json::Str("cassandra".to_string())),
-            ("history".to_string(), Json::Arr(Vec::new())),
+        Json::obj([
+            ("bench", Json::Str("engine".to_string())),
+            ("app", Json::Str("cassandra".to_string())),
+            ("history", Json::Arr(Vec::new())),
         ])
     };
     if doc.get("history").is_none() {

@@ -1,16 +1,24 @@
-//! A minimal JSON document model — just enough to read and append to the
-//! committed benchmark history (`BENCH_engine.json`) without external
-//! dependencies.
+//! The workspace's one JSON writer and reader, dependency-free.
 //!
-//! The repo's other JSON producers ([`Table::to_json`](crate::report::Table),
-//! telemetry) only *write*, with hand-built strings; the bench history is the
-//! first file we must read back, merge, and re-emit. This module keeps that
-//! honest: objects preserve insertion order so a parse → edit → serialize
-//! round trip only changes what was edited.
+//! Every JSON file the reproduction emits is a [`Json`] value serialized by
+//! [`Json::to_pretty`]: the figure tables ([`Table::to_json`]), the
+//! `--metrics` telemetry and outcome exports ([`crate::metrics`]), the
+//! `repro adapt`/`repro scenario` outcomes, and the committed benchmark
+//! history (`BENCH_engine.json`), which is also read back, merged and
+//! re-emitted. Objects preserve insertion order, so a parse → edit →
+//! serialize round trip only changes what was edited.
 //!
-//! Scope: the full JSON grammar minus two corners we never produce — no
-//! `\uXXXX` escapes beyond ASCII and no exponent canonicalization (numbers
-//! round-trip through `f64`, with integers up to 2^53 printed exactly).
+//! The layout is two-space indented with one member or element per line.
+//! Numbers follow one rule: whole numbers below 9·10^15 print exactly,
+//! everything else prints with two decimals. A value that is not whole
+//! but rounds to a whole number at two decimals (`3.001` → `3.00`) parses
+//! back as `3` and re-emits as `3`; the timing fields `runtime_secs` and
+//! `total_ms` are rounded to two decimals before they are stored, so those
+//! files reparse to themselves. The reader accepts the full JSON grammar,
+//! including `\uXXXX` escapes and surrogate pairs, so every string the
+//! writer emits parses back unchanged.
+//!
+//! [`Table::to_json`]: crate::report::Table::to_json
 
 use std::fmt::Write as _;
 
@@ -103,6 +111,16 @@ impl Json {
         }
     }
 
+    /// An object from `(key, value)` pairs, in order.
+    pub(crate) fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array of strings.
+    pub(crate) fn strs(items: &[String]) -> Json {
+        Json::Arr(items.iter().cloned().map(Json::Str).collect())
+    }
+
     /// Serializes with two-space indentation and a trailing newline, matching
     /// the style of the repo's other committed JSON artifacts.
     pub fn to_pretty(&self) -> String {
@@ -111,6 +129,12 @@ impl Json {
         out.push('\n');
         out
     }
+}
+
+/// Rounds `x` to the writer's two decimals, so a measured value (a wall
+/// time, a rate) serializes to text that parses back to the same value.
+pub(crate) fn round2(x: f64) -> f64 {
+    (x * 100.0).round() / 100.0
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -189,6 +213,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'r' => '\r',
                     b'b' => '\u{8}',
                     b'f' => '\u{c}',
+                    b'u' => parse_unicode_escape(bytes, pos)?,
                     other => return Err(format!("unsupported escape `\\{}`", *other as char)),
                 });
                 *pos += 1;
@@ -204,6 +229,30 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             None => return Err("unterminated string".to_string()),
         }
     }
+}
+
+/// Decodes the `XXXX` of a `\uXXXX` escape (`pos` at the `u`), joining a
+/// UTF-16 surrogate pair written as two escapes. Leaves `pos` on the last
+/// hex digit consumed.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let at = *pos - 1;
+    let hex4 = |start: usize| {
+        bytes
+            .get(start..start + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|h| u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok())
+            .ok_or_else(|| format!("bad `\\u` escape at byte {at}"))
+    };
+    let mut code = hex4(*pos + 1)?;
+    *pos += 4;
+    if (0xD800..0xDC00).contains(&code) && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u") {
+        let low = hex4(*pos + 3)?;
+        if (0xDC00..0xE000).contains(&low) {
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            *pos += 6;
+        }
+    }
+    char::from_u32(code).ok_or_else(|| format!("unpaired surrogate in `\\u` escape at byte {at}"))
 }
 
 fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -363,6 +412,150 @@ mod tests {
         doc.set("a", Json::Num(9.0));
         doc.set("c", Json::Str("new".into()));
         assert_eq!(doc.to_pretty(), "{\n  \"a\": 9,\n  \"b\": 2,\n  \"c\": \"new\"\n}\n");
+    }
+
+    #[test]
+    fn every_ascii_char_and_a_non_bmp_char_round_trip() {
+        let text: String = (0u8..0x80).map(char::from).chain(['😀']).collect();
+        let doc = Json::Str(text.clone());
+        let written = doc.to_pretty();
+        assert!(written.contains("\\u0001"), "control characters are escaped");
+        assert_eq!(Json::parse(&written), Ok(doc.clone()));
+        let key = Json::Obj(vec![(text, Json::Null)]);
+        assert_eq!(Json::parse(&key.to_pretty()), Ok(key));
+    }
+
+    #[test]
+    fn parses_unicode_escapes_and_surrogate_pairs() {
+        let doc = Json::parse(r#""\u0041\u00e9\u20AC\ud83d\ude00\u0000""#).unwrap();
+        assert_eq!(doc.as_str(), Some("Aé€😀\u{0}"));
+        for bad in [r#""\ud83d""#, r#""\ud83dx""#, r#""\ude00""#, r#""\u12""#, r#""\u+123""#] {
+            assert!(Json::parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn round2_values_reparse_to_themselves() {
+        for x in [0.0, 0.001, 0.004, 0.005, 1.5, 2.0049, 176.3, 1234.5678, 9.995] {
+            let doc = Json::Num(round2(x));
+            assert_eq!(Json::parse(&doc.to_pretty()).unwrap().to_pretty(), doc.to_pretty(), "{x}");
+        }
+    }
+
+    /// Every JSON file the workspace writes comes from this module, so each
+    /// emitter's output parses back to the same bytes (trailing newline
+    /// aside). Inputs use numbers that do not round to a whole number at two
+    /// decimals, the one value class that reparses as an integer.
+    #[test]
+    fn every_emitter_reparses_to_its_own_bytes() {
+        use crate::adapt::{AdaptOutcome, WindowReport};
+        use crate::enginebench::{history_entry, BenchRow, BenchRun};
+        use crate::metrics::{outcome_summary, telemetry_summary, TimingMode};
+        use crate::scenario::{BucketRow, ScenarioOutcome, TenantReport};
+        use crate::{Scale, Session, Table};
+        use ispy_sim::{InjectionOutcome, SimResult};
+        use ispy_telemetry::Telemetry;
+
+        fn assert_identity(what: &str, out: &str) {
+            let doc = Json::parse(out).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(doc.to_pretty().trim_end(), out.trim_end(), "{what}");
+        }
+
+        let mut table = Table::new("fig0", "quote \" tab \t ctl \u{1} €", &["app", "speedup"]);
+        table.row(vec!["cassandra".into(), "1.250x".into()]);
+        table.note("paper: something");
+        assert_identity("table", &table.to_json());
+        for secs in [0.0004, 0.123_456, 7.0, 61.999] {
+            assert_identity("table with runtime", &table.to_json_with_runtime(Some(secs)));
+        }
+
+        let tele = Telemetry::new();
+        tele.add("core.plan.calls", 3);
+        tele.add("weird\"\u{1f}name", 1);
+        drop(tele.span("core.plan"));
+        {
+            let _slow = tele.span("profile.collect");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        for mode in [TimingMode::Full, TimingMode::Deterministic] {
+            assert_identity("telemetry", &telemetry_summary(&tele, mode).to_pretty());
+        }
+
+        let session = Session::with_apps(Scale::test(), vec![ispy_trace::apps::finagle_http()]);
+        assert_identity("outcome summary", &outcome_summary(&session).to_pretty());
+
+        let sim = SimResult { instrs: 3_000, i_misses: 37, cycles: 9_000, ..SimResult::default() };
+        let window = WindowReport { adaptive_mpki: 17.185, oracle_mpki: 4.104, replan_ms: 65.32 };
+        let adapt = AdaptOutcome {
+            app: "tomcat".into(),
+            events: 50_000,
+            window: 10_000,
+            epochs: 2,
+            windows: vec![window.clone(), WindowReport { replan_ms: 0.0, ..window }],
+            swaps: 5,
+            adaptive_total: sim,
+            oracle_total: sim,
+            replan_full_ms: 163.04,
+            replan_delta_ms: 5.06,
+            plans_identical: true,
+            delta_samples: 12,
+            total_samples: 4_321,
+        };
+        assert_identity("adapt outcome", &adapt.to_json());
+
+        let scenario = ScenarioOutcome {
+            scenario: "burst".into(),
+            events: 30_000,
+            phases: vec!["steady".into(), "burst".into()],
+            tenants: vec!["kafka".into()],
+            switches: 4,
+            rows: vec![BucketRow {
+                phase: "steady".into(),
+                tenant: "kafka".into(),
+                events: 30_000,
+                requests: 17,
+                base_mpki: 21.4,
+                asmdb_mpki: 9.87,
+                ispy_mpki: 6.25,
+                base_p99: 812,
+                asmdb_p99: 433,
+                ispy_p99: 391,
+            }],
+            tenant_reports: vec![TenantReport {
+                tenant: "kafka".into(),
+                events: 30_000,
+                base_mpki: 21.4,
+                asmdb_mpki: 9.87,
+                ispy_mpki: 6.25,
+                base_p99: 812,
+                asmdb_p99: 433,
+                ispy_p99: 391,
+                injections: 88,
+                outcome: InjectionOutcome { fired: 40, useful: 31, late: 2, ..Default::default() },
+            }],
+            base_total: SimResult { i_misses: 64, ..sim },
+            ideal_total: SimResult { cycles: 7_000, ..sim },
+            asmdb_total: sim,
+            ispy_total: SimResult { i_misses: 19, cycles: 8_100, ..sim },
+        };
+        assert_identity("scenario outcome", &scenario.to_json());
+
+        let run = BenchRun {
+            app: "cassandra".into(),
+            events: 200_000,
+            reps: 5,
+            quick: false,
+            rows: vec![
+                BenchRow { name: "injected", blocks_per_sec: 3_456_789.4, peak_rss_bytes: None },
+                BenchRow { name: "replan_delta", blocks_per_sec: 86.454, peak_rss_bytes: None },
+                BenchRow {
+                    name: "stream_replay",
+                    blocks_per_sec: 1_840_000.0,
+                    peak_rss_bytes: Some(9_437_184),
+                },
+            ],
+        };
+        assert_identity("bench history entry", &history_entry(&run, "ctl\u{1}label").to_pretty());
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! The `--metrics` export: per-app injection-outcome histograms.
+//! The `--metrics` export: telemetry registries and per-app
+//! injection-outcome histograms, as [`Json`] values.
 //!
-//! Telemetry counters and spans (from [`ispy_telemetry`]) cover *how much
-//! work* each pipeline phase did; this module covers *what the injections
-//! achieved*: for every app whose [`Comparison`](crate::Comparison) the
-//! session computed, each planned injection is classified by its dominant
-//! runtime outcome and the classes are counted into a histogram. The JSON is
-//! hand-rolled like [`crate::report`] (the build environment is offline).
+//! [`telemetry_summary`] renders the counters and spans recorded by
+//! [`ispy_telemetry`] — *how much work* each pipeline phase did.
+//! [`outcome_summary`] covers *what the injections achieved*: for every app
+//! whose [`Comparison`](crate::Comparison) the session computed, each
+//! planned injection is classified by its dominant runtime outcome and the
+//! classes are counted into a histogram.
 
+use crate::json::{round2, Json};
 use crate::session::Session;
 use ispy_sim::{InjectionOutcome, SimResult};
+use ispy_telemetry::Telemetry;
 use std::fmt::Write as _;
 
 /// Renders one run's metrics as canonical `key=value` lines under an app
@@ -74,50 +77,94 @@ fn classify(o: &InjectionOutcome) -> &'static str {
     }
 }
 
-/// Renders per-app injection-outcome histograms as pretty JSON:
+/// Per-app injection-outcome histograms:
 /// `{"apps": {"<name>": {"injections": n, "totals": {...}, "histogram":
 /// {...}}}}`. Apps are reported in session order; each app's comparison is
 /// computed (and cached) on demand.
-pub fn outcome_summary(session: &Session) -> String {
-    let mut out = String::from("{\n  \"apps\": {");
-    let napps = session.apps().len();
-    for i in 0..napps {
-        let name = session.apps()[i].name();
+pub fn outcome_summary(session: &Session) -> Json {
+    let apps = session.apps().iter().enumerate().map(|(i, app)| {
         let cmp = session.comparison(i);
         let ledger = &cmp.ispy_outcomes;
-        let total = |f: fn(&InjectionOutcome) -> u64| ledger.total(f);
-        let _ = write!(
-            out,
-            "\n    \"{name}\": {{\n      \"injections\": {},",
-            ledger.per_injection.len()
-        );
-        let _ = write!(
-            out,
-            "\n      \"totals\": {{ \"executed\": {}, \"fired\": {}, \"suppressed\": {}, \
-             \"lines_issued\": {}, \"lines_resident\": {}, \"useful\": {}, \"late\": {}, \
-             \"evicted_unused\": {} }},",
-            total(|o| o.executed),
-            total(|o| o.fired),
-            total(|o| o.suppressed),
-            total(|o| o.lines_issued),
-            total(|o| o.lines_resident),
-            total(|o| o.useful),
-            total(|o| o.late),
-            total(|o| o.evicted_unused),
-        );
-        let _ = write!(out, "\n      \"histogram\": {{");
-        for (k, class) in CLASSES.iter().enumerate() {
-            let n = ledger.per_injection.iter().filter(|o| classify(o) == *class).count();
-            let comma = if k + 1 < CLASSES.len() { "," } else { "" };
-            let _ = write!(out, " \"{class}\": {n}{comma}");
+        let total = |f: fn(&InjectionOutcome) -> u64| Json::Num(ledger.total(f) as f64);
+        let histogram = CLASSES.map(|class| {
+            let n = ledger.per_injection.iter().filter(|o| classify(o) == class).count();
+            (class, Json::Num(n as f64))
+        });
+        let summary = Json::obj([
+            ("injections", Json::Num(ledger.per_injection.len() as f64)),
+            (
+                "totals",
+                Json::obj([
+                    ("executed", total(|o| o.executed)),
+                    ("fired", total(|o| o.fired)),
+                    ("suppressed", total(|o| o.suppressed)),
+                    ("lines_issued", total(|o| o.lines_issued)),
+                    ("lines_resident", total(|o| o.lines_resident)),
+                    ("useful", total(|o| o.useful)),
+                    ("late", total(|o| o.late)),
+                    ("evicted_unused", total(|o| o.evicted_unused)),
+                ]),
+            ),
+            ("histogram", Json::obj(histogram)),
+        ]);
+        (app.name(), summary)
+    });
+    Json::obj([("apps", Json::obj(apps))])
+}
+
+/// How much of a registry [`telemetry_summary`] renders.
+///
+/// # Examples
+///
+/// ```
+/// use ispy_harness::metrics::{telemetry_summary, TimingMode};
+/// use ispy_telemetry::Telemetry;
+///
+/// let tele = Telemetry::new();
+/// drop(tele.span("p"));
+/// assert!(telemetry_summary(&tele, TimingMode::Full).to_pretty().contains("total_ms"));
+/// assert!(!telemetry_summary(&tele, TimingMode::Deterministic).to_pretty().contains("total_ms"));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimingMode {
+    /// Counters, span counts, and span wall times.
+    Full,
+    /// Counters and span counts only — byte-identical output regardless of
+    /// thread count or machine speed.
+    Deterministic,
+}
+
+/// A telemetry registry's counters and spans, sorted by name:
+/// `{"counters": {..}, "spans": {"name": {"count": n[, "total_ms": x]}}}`.
+///
+/// [`TimingMode::Deterministic`] omits `total_ms` so the bytes depend only
+/// on the work performed, not on how fast or how parallel it ran. `total_ms`
+/// is rounded to the writer's two decimals.
+///
+/// # Examples
+///
+/// ```
+/// use ispy_harness::metrics::{telemetry_summary, TimingMode};
+/// use ispy_telemetry::Telemetry;
+///
+/// let tele = Telemetry::new();
+/// {
+///     let _phase = tele.span("plan");
+///     tele.add("plan.lines", 3);
+/// }
+/// let json = telemetry_summary(&tele, TimingMode::Deterministic).to_pretty();
+/// assert!(json.contains("\"plan.lines\": 3"));
+/// ```
+pub fn telemetry_summary(tele: &Telemetry, mode: TimingMode) -> Json {
+    let counters = tele.counters().into_iter().map(|(name, n)| (name, Json::Num(n as f64)));
+    let spans = tele.spans().into_iter().map(|(name, stat)| {
+        let mut span = Json::obj([("count", Json::Num(stat.count as f64))]);
+        if mode == TimingMode::Full {
+            span.set("total_ms", Json::Num(round2(stat.total_ms())));
         }
-        let _ = write!(out, " }}\n    }}{}", if i + 1 < napps { "," } else { "" });
-    }
-    if napps > 0 {
-        out.push_str("\n  ");
-    }
-    out.push_str("}\n}");
-    out
+        (name, span)
+    });
+    Json::obj([("counters", Json::obj(counters)), ("spans", Json::obj(spans))])
 }
 
 #[cfg(test)]
@@ -147,18 +194,62 @@ mod tests {
     fn summary_renders_every_app_and_class() {
         let s = Session::with_apps(Scale::test(), vec![apps::cassandra()]);
         let j = outcome_summary(&s);
-        assert!(j.contains("\"cassandra\""));
-        assert!(j.contains("\"injections\""));
-        for class in CLASSES {
-            assert!(j.contains(class), "missing class {class}");
-        }
+        let app = j.get("apps").and_then(|a| a.get("cassandra")).expect("cassandra reported");
+        let n = s.comparison(0).ispy_outcomes.per_injection.len();
+        assert_eq!(app.get("injections").and_then(Json::as_f64), Some(n as f64));
         // Histogram classes partition the injections.
-        let cmp = s.comparison(0);
-        let n = cmp.ispy_outcomes.per_injection.len();
-        let counted: usize = CLASSES
+        let histogram = app.get("histogram").expect("histogram");
+        let counted: f64 = CLASSES
             .iter()
-            .map(|c| cmp.ispy_outcomes.per_injection.iter().filter(|o| classify(o) == *c).count())
+            .map(|class| histogram.get(class).and_then(Json::as_f64).expect("every class"))
             .sum();
-        assert_eq!(counted, n);
+        assert_eq!(counted, n as f64);
+    }
+
+    #[test]
+    fn deterministic_json_has_no_timings_and_is_sorted() {
+        let t = Telemetry::new();
+        t.add("z.last", 1);
+        t.add("a.first", 2);
+        drop(t.span("phase"));
+        let j = telemetry_summary(&t, TimingMode::Deterministic).to_pretty();
+        assert!(!j.contains("total_ms"));
+        assert!(j.contains("\"phase\": {\n      \"count\": 1\n    }"));
+        let a = j.find("a.first").unwrap();
+        let z = j.find("z.last").unwrap();
+        assert!(a < z, "keys must render in sorted order");
+        // Identical work renders identical bytes.
+        let t2 = Telemetry::new();
+        t2.add("a.first", 2);
+        t2.add("z.last", 1);
+        drop(t2.span("phase"));
+        assert_eq!(j, telemetry_summary(&t2, TimingMode::Deterministic).to_pretty());
+    }
+
+    #[test]
+    fn full_json_includes_wall_time() {
+        let t = Telemetry::new();
+        drop(t.span("p"));
+        let j = telemetry_summary(&t, TimingMode::Full);
+        let span = j.get("spans").and_then(|s| s.get("p")).expect("span p");
+        assert_eq!(span.get("count").and_then(Json::as_f64), Some(1.0));
+        assert!(span.get("total_ms").and_then(Json::as_f64).is_some());
+    }
+
+    #[test]
+    fn empty_registry_renders_empty_objects() {
+        let t = Telemetry::new();
+        assert_eq!(
+            telemetry_summary(&t, TimingMode::Deterministic).to_pretty(),
+            "{\n  \"counters\": {},\n  \"spans\": {}\n}\n"
+        );
+    }
+
+    #[test]
+    fn json_escapes_names() {
+        let t = Telemetry::new();
+        t.add("weird\"name", 1);
+        let j = telemetry_summary(&t, TimingMode::Deterministic).to_pretty();
+        assert!(j.contains("weird\\\"name"));
     }
 }

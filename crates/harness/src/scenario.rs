@@ -195,17 +195,17 @@ impl ScenarioOutcome {
             .rows
             .iter()
             .map(|r| {
-                Json::Obj(vec![
-                    ("phase".to_string(), Json::Str(r.phase.clone())),
-                    ("tenant".to_string(), Json::Str(r.tenant.clone())),
-                    ("events".to_string(), Json::Num(r.events as f64)),
-                    ("requests".to_string(), Json::Num(r.requests as f64)),
-                    ("base_mpki".to_string(), Json::Num(r.base_mpki)),
-                    ("asmdb_mpki".to_string(), Json::Num(r.asmdb_mpki)),
-                    ("ispy_mpki".to_string(), Json::Num(r.ispy_mpki)),
-                    ("base_p99_stall".to_string(), Json::Num(r.base_p99 as f64)),
-                    ("asmdb_p99_stall".to_string(), Json::Num(r.asmdb_p99 as f64)),
-                    ("ispy_p99_stall".to_string(), Json::Num(r.ispy_p99 as f64)),
+                Json::obj([
+                    ("phase", Json::Str(r.phase.clone())),
+                    ("tenant", Json::Str(r.tenant.clone())),
+                    ("events", Json::Num(r.events as f64)),
+                    ("requests", Json::Num(r.requests as f64)),
+                    ("base_mpki", Json::Num(r.base_mpki)),
+                    ("asmdb_mpki", Json::Num(r.asmdb_mpki)),
+                    ("ispy_mpki", Json::Num(r.ispy_mpki)),
+                    ("base_p99_stall", Json::Num(r.base_p99 as f64)),
+                    ("asmdb_p99_stall", Json::Num(r.asmdb_p99 as f64)),
+                    ("ispy_p99_stall", Json::Num(r.ispy_p99 as f64)),
                 ])
             })
             .collect();
@@ -213,52 +213,43 @@ impl ScenarioOutcome {
             .tenant_reports
             .iter()
             .map(|t| {
-                Json::Obj(vec![
-                    ("tenant".to_string(), Json::Str(t.tenant.clone())),
-                    ("events".to_string(), Json::Num(t.events as f64)),
-                    ("base_mpki".to_string(), Json::Num(t.base_mpki)),
-                    ("asmdb_mpki".to_string(), Json::Num(t.asmdb_mpki)),
-                    ("ispy_mpki".to_string(), Json::Num(t.ispy_mpki)),
-                    ("base_p99_stall".to_string(), Json::Num(t.base_p99 as f64)),
-                    ("asmdb_p99_stall".to_string(), Json::Num(t.asmdb_p99 as f64)),
-                    ("ispy_p99_stall".to_string(), Json::Num(t.ispy_p99 as f64)),
-                    ("injections".to_string(), Json::Num(t.injections as f64)),
-                    ("pf_fired".to_string(), Json::Num(t.outcome.fired as f64)),
-                    ("pf_useful".to_string(), Json::Num(t.outcome.useful as f64)),
-                    ("pf_late".to_string(), Json::Num(t.outcome.late as f64)),
-                    ("pf_evicted_unused".to_string(), Json::Num(t.outcome.evicted_unused as f64)),
+                Json::obj([
+                    ("tenant", Json::Str(t.tenant.clone())),
+                    ("events", Json::Num(t.events as f64)),
+                    ("base_mpki", Json::Num(t.base_mpki)),
+                    ("asmdb_mpki", Json::Num(t.asmdb_mpki)),
+                    ("ispy_mpki", Json::Num(t.ispy_mpki)),
+                    ("base_p99_stall", Json::Num(t.base_p99 as f64)),
+                    ("asmdb_p99_stall", Json::Num(t.asmdb_p99 as f64)),
+                    ("ispy_p99_stall", Json::Num(t.ispy_p99 as f64)),
+                    ("injections", Json::Num(t.injections as f64)),
+                    ("pf_fired", Json::Num(t.outcome.fired as f64)),
+                    ("pf_useful", Json::Num(t.outcome.useful as f64)),
+                    ("pf_late", Json::Num(t.outcome.late as f64)),
+                    ("pf_evicted_unused", Json::Num(t.outcome.evicted_unused as f64)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("scenario".to_string(), Json::Str(self.scenario.clone())),
-            ("events".to_string(), Json::Num(self.events as f64)),
-            ("phases".to_string(), Json::Arr(self.phases.iter().cloned().map(Json::Str).collect())),
+        Json::obj([
+            ("scenario", Json::Str(self.scenario.clone())),
+            ("events", Json::Num(self.events as f64)),
+            ("phases", Json::strs(&self.phases)),
+            ("tenants", Json::strs(&self.tenants)),
+            ("switches", Json::Num(self.switches as f64)),
+            ("base_mpki", Json::Num(self.base_total.mpki())),
+            ("asmdb_mpki", Json::Num(self.asmdb_total.mpki())),
+            ("ispy_mpki", Json::Num(self.ispy_total.mpki())),
+            ("ideal_speedup", Json::Num(self.ideal_total.speedup_over(&self.base_total))),
+            ("asmdb_speedup", Json::Num(self.asmdb_total.speedup_over(&self.base_total))),
+            ("ispy_speedup", Json::Num(self.ispy_total.speedup_over(&self.base_total))),
             (
-                "tenants".to_string(),
-                Json::Arr(self.tenants.iter().cloned().map(Json::Str).collect()),
-            ),
-            ("switches".to_string(), Json::Num(self.switches as f64)),
-            ("base_mpki".to_string(), Json::Num(self.base_total.mpki())),
-            ("asmdb_mpki".to_string(), Json::Num(self.asmdb_total.mpki())),
-            ("ispy_mpki".to_string(), Json::Num(self.ispy_total.mpki())),
-            (
-                "ideal_speedup".to_string(),
-                Json::Num(self.ideal_total.speedup_over(&self.base_total)),
-            ),
-            (
-                "asmdb_speedup".to_string(),
-                Json::Num(self.asmdb_total.speedup_over(&self.base_total)),
-            ),
-            ("ispy_speedup".to_string(), Json::Num(self.ispy_total.speedup_over(&self.base_total))),
-            (
-                "ispy_pct_ideal".to_string(),
+                "ispy_pct_ideal",
                 Json::Num(
                     100.0 * self.ispy_total.fraction_of_ideal(&self.base_total, &self.ideal_total),
                 ),
             ),
-            ("buckets".to_string(), Json::Arr(rows)),
-            ("tenant_totals".to_string(), Json::Arr(tenants)),
+            ("buckets", Json::Arr(rows)),
+            ("tenant_totals", Json::Arr(tenants)),
         ])
         .to_pretty()
     }

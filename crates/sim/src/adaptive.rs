@@ -23,12 +23,12 @@
 //! [`CompiledInjections::rebase_provenance`]: ispy_isa::CompiledInjections::rebase_provenance
 
 use crate::config::SimConfig;
-use crate::engine::Engine;
+use crate::engine::{compile_plan, Engine};
 use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
 use crate::shard::WindowedBlockSource;
 use ispy_artifact::ArtifactError;
-use ispy_isa::{CompiledInjections, InjectionMap};
+use ispy_isa::InjectionMap;
 use ispy_trace::{BlockId, BlockSource, Program};
 use std::ops::Range;
 use std::sync::Arc;
@@ -60,11 +60,7 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
         initial: &InjectionMap,
         outcomes: Option<&'o mut OutcomeLedger>,
     ) -> Self {
-        let mut compiled = if initial.is_empty() {
-            CompiledInjections::default()
-        } else {
-            initial.compile(program.num_blocks())
-        };
+        let mut compiled = compile_plan(program, Some(initial));
         let id_base = compiled.rebase_provenance(0);
         let eng = Engine::new(program, cfg, Arc::new(compiled), None, None, outcomes, false, true);
         AdaptiveEngine { program, eng, idx: 0, id_base }
@@ -90,11 +86,7 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
     ///
     /// [`rebase_provenance`]: ispy_isa::CompiledInjections::rebase_provenance
     pub fn swap_plan(&mut self, plan: &InjectionMap) -> Range<u32> {
-        let mut compiled = if plan.is_empty() {
-            CompiledInjections::default()
-        } else {
-            plan.compile(self.program.num_blocks())
-        };
+        let mut compiled = compile_plan(self.program, Some(plan));
         let span = compiled.rebase_provenance(self.id_base);
         let start = self.id_base;
         self.id_base = start.checked_add(span).expect("provenance id space exhausted");

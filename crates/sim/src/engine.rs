@@ -1398,12 +1398,18 @@ pub fn run(program: &Program, trace: &Trace, cfg: &SimConfig, opts: RunOptions<'
 /// pre-compiled plan if given (cloned once — a memcpy of the dense tables,
 /// negligible next to a replay), the lowered map otherwise.
 fn lower_plan(program: &Program, opts: &RunOptions<'_>) -> Arc<CompiledInjections> {
-    match opts.compiled {
-        Some(c) => Arc::new(c.clone()),
-        None => match opts.injections {
-            Some(map) if !map.is_empty() => Arc::new(map.compile(program.num_blocks())),
-            _ => Arc::new(CompiledInjections::default()),
-        },
+    Arc::new(match opts.compiled {
+        Some(c) => c.clone(),
+        None => compile_plan(program, opts.injections),
+    })
+}
+
+/// Lowers a plan map over `program`'s blocks; an absent or empty map is the
+/// empty plan, which skips building the dense tables.
+pub(crate) fn compile_plan(program: &Program, map: Option<&InjectionMap>) -> CompiledInjections {
+    match map {
+        Some(map) if !map.is_empty() => map.compile(program.num_blocks()),
+        _ => CompiledInjections::default(),
     }
 }
 

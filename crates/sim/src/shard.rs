@@ -28,11 +28,11 @@
 //! 8k-block warmup).
 
 use crate::config::SimConfig;
-use crate::engine::Engine;
+use crate::engine::{compile_plan, Engine};
 use crate::metrics::SimResult;
 use crate::outcome::OutcomeLedger;
 use ispy_artifact::ArtifactError;
-use ispy_isa::{CompiledInjections, InjectionMap};
+use ispy_isa::InjectionMap;
 use ispy_trace::{BlockId, BlockSource, Program, Trace, TraceBlocks, Walker, WalkerSource};
 use std::sync::Arc;
 
@@ -285,10 +285,7 @@ pub fn simulate_sharded_source<W: WindowedBlockSource>(
     outcomes: Option<&mut OutcomeLedger>,
 ) -> Result<SimResult, ArtifactError> {
     assert!(shard.window_blocks > 0, "window_blocks must be positive");
-    let compiled = Arc::new(match injections {
-        Some(map) if !map.is_empty() => map.compile(program.num_blocks()),
-        _ => CompiledInjections::default(),
-    });
+    let compiled = Arc::new(compile_plan(program, injections));
     let n = source.total_events();
     let window = shard.window_blocks as u64;
     let windows = (n.div_ceil(window).max(1)) as usize;

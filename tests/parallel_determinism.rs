@@ -5,6 +5,7 @@
 //! contract extends *inside* a single simulation: the sharded replay's
 //! result must not depend on its shard count.
 
+use ispy_harness::metrics::{telemetry_summary, TimingMode};
 use ispy_harness::workload::miss_derived_plan;
 use ispy_harness::{figures, Scale, Session, Table};
 use ispy_scenario::{Scenario, ScenarioSource};
@@ -12,7 +13,7 @@ use ispy_sim::{
     run_streaming, simulate_sharded_source, OutcomeLedger, RunOptions, ShardConfig, SimConfig,
     SliceWindows,
 };
-use ispy_telemetry::{Telemetry, TimingMode};
+use ispy_telemetry::Telemetry;
 use ispy_trace::{apps, BlockId, BlockSource, Trace};
 use std::sync::Arc;
 
@@ -28,7 +29,8 @@ fn all_tables(threads: usize) -> (Vec<Table>, String) {
         vec![apps::cassandra(), apps::verilator(), apps::wordpress()],
     );
     let tables = figures::all().into_iter().map(|spec| (spec.run)(&session)).collect();
-    let telemetry = ispy_telemetry::swap_global(previous).to_json(TimingMode::Deterministic);
+    let telemetry = ispy_telemetry::swap_global(previous);
+    let telemetry = telemetry_summary(&telemetry, TimingMode::Deterministic).to_pretty();
     ispy_parallel::set_threads(0);
     (tables, telemetry)
 }
