@@ -119,11 +119,6 @@ impl<W: Write + Seek> StreamWriter<W> {
         self.kind
     }
 
-    /// Sections written so far.
-    pub fn sections_written(&self) -> u32 {
-        self.count
-    }
-
     /// Frames a finished section straight to the sink. Section ids must be
     /// unique per artifact; writing a duplicate is a programming error and
     /// panics (mirroring [`ArtifactWriter::finish_section`]).
@@ -260,11 +255,6 @@ impl<R: Read> StreamReader<R> {
     /// The artifact's kind.
     pub fn kind(&self) -> ArtifactKind {
         self.kind
-    }
-
-    /// Sections the header declares.
-    pub fn sections_declared(&self) -> u32 {
-        self.declared
     }
 
     /// Advances to the next section, returning its `(id, payload length)`,

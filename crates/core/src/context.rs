@@ -7,6 +7,7 @@
 //! (the paper's Bayes step), subject to a minimum support and a required
 //! improvement over the unconditional probability.
 
+use crate::work::WorkCounters;
 use ispy_profile::JointCounts;
 use ispy_trace::BlockId;
 
@@ -126,7 +127,8 @@ pub fn discover_multi(
     min_prob: f64,
     max_contexts: usize,
 ) -> (Vec<ContextChoice>, f64) {
-    let Some((chosen, coverage, subsets_evaluated)) = greedy_cover(
+    let mut work = WorkCounters::default();
+    let found = work.discovery(greedy_cover(
         counts,
         candidates,
         ctx_size,
@@ -134,21 +136,17 @@ pub fn discover_multi(
         gain_margin,
         min_prob,
         max_contexts,
-    ) else {
-        return (Vec::new(), 0.0);
-    };
+    ));
     // Mining-depth accounting: how much subset space each query explored.
-    let tele = ispy_telemetry::global();
-    tele.add("core.context.queries", 1);
-    tele.add("core.context.subsets_evaluated", subsets_evaluated);
-    tele.add("core.context.contexts_adopted", chosen.len() as u64);
-    (chosen, coverage)
+    work.flush(&ispy_telemetry::global());
+    found
 }
 
 /// [`discover_multi`]'s search, also returning how many subsets it
 /// evaluated; `None` when there is nothing to search (no candidates, no
-/// context slots, no site occurrences or no hits).
-fn greedy_cover(
+/// context slots, no site occurrences or no hits). The planner calls it
+/// directly and counts its work per plan ([`WorkCounters::discovery`]).
+pub(crate) fn greedy_cover(
     counts: &JointCounts,
     candidates: &[BlockId],
     ctx_size: usize,

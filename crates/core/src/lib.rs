@@ -44,6 +44,7 @@ pub mod context;
 pub mod planner;
 pub mod provenance;
 pub mod window;
+mod work;
 
 pub use config::IspyConfig;
 pub use planner::{Plan, PlanStats, Planner, PlannerBaseline};

@@ -2,19 +2,21 @@
 
 use crate::coalesce::{coalesce_lines, CoalescedGroup};
 use crate::config::IspyConfig;
-use crate::context::{discover_multi, ContextChoice};
+use crate::context::{greedy_cover, ContextChoice};
 use crate::provenance::{PlannedLine, ProvenanceRecord};
 use crate::window::{
-    find_candidates, search_window, select_covering_sites, SelectedSite, SelectionPolicy,
-    SiteCandidate, WindowSearch,
+    search_window, select_covering_sites, SelectedSite, SelectionPolicy, SiteCandidate,
+    WindowSearch,
 };
+use crate::work::WorkCounters;
 use ispy_isa::{ContextHash, InjectionMap, PrefetchOp, ProvenanceId};
 use ispy_profile::scan::MAX_CANDIDATES;
 use ispy_profile::{
     scan_joint, ContentHasher, JointCounts, JointQuery, LineMissStats, Profile, ProfileDelta,
 };
+use ispy_sim::FxHashMap;
 use ispy_trace::{BlockId, Line, Program, Trace};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -132,14 +134,62 @@ type Ranking = Arc<Vec<BlockId>>;
 /// Identity of one joint-scan query. The target positions are derived from
 /// the target block over the (fixed) trace, so the block id stands in for
 /// them; everything else is the query verbatim, plus the LBR depth the scan
-/// was run at.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// was run at. The candidates sit in a fixed array (first `num_candidates`
+/// entries), so building a key allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct JointKey {
     site: u32,
     target: u32,
     horizon: u32,
     lbr: usize,
-    candidates: Vec<u32>,
+    num_candidates: usize,
+    candidates: [u32; MAX_CANDIDATES],
+}
+
+impl JointKey {
+    fn new(query: &JointQuery, target: BlockId, lbr: usize) -> Self {
+        let mut candidates = [0; MAX_CANDIDATES];
+        for (slot, b) in candidates.iter_mut().zip(&query.candidates) {
+            *slot = b.0;
+        }
+        JointKey {
+            site: query.site.0,
+            target: target.0,
+            horizon: query.horizon_blocks,
+            lbr,
+            num_candidates: query.candidates.len(),
+            candidates,
+        }
+    }
+}
+
+/// The trace positions of every block in `blocks`, in one pass over the
+/// trace: entry `i` lists the ascending indices at which `blocks[i]` runs.
+/// Repeated blocks share one list. Blocks map to their lists through a
+/// dense table indexed by block id.
+fn trace_positions(trace: &Trace, blocks: &[BlockId]) -> Vec<Arc<[u32]>> {
+    const UNWANTED: usize = usize::MAX;
+    let mut slot = vec![UNWANTED; blocks.iter().map(|b| b.index() + 1).max().unwrap_or(0)];
+    let mut lists: Vec<Vec<u32>> = Vec::new();
+    let which: Vec<usize> = blocks
+        .iter()
+        .map(|b| {
+            if slot[b.index()] == UNWANTED {
+                slot[b.index()] = lists.len();
+                lists.push(Vec::new());
+            }
+            slot[b.index()]
+        })
+        .collect();
+    for (idx, block) in trace.iter().enumerate() {
+        if let Some(&s) = slot.get(block.index()) {
+            if s != UNWANTED {
+                lists[s].push(idx as u32);
+            }
+        }
+    }
+    let lists: Vec<Arc<[u32]>> = lists.into_iter().map(Arc::from).collect();
+    which.into_iter().map(|s| Arc::clone(&lists[s])).collect()
 }
 
 /// One line's memoized outcome under one planning config
@@ -201,15 +251,16 @@ struct MemoSlot {
 /// different baselines and stay fully parallel).
 #[derive(Debug, Default)]
 pub struct PlannerBaseline {
-    positions: Mutex<HashMap<u32, Arc<Vec<u32>>>>,
-    windows: Mutex<HashMap<WindowKey, Arc<WindowSearch>>>,
+    /// Trace positions by block id (`None`: not computed yet).
+    positions: Mutex<Vec<Option<Arc<[u32]>>>>,
+    windows: Mutex<FxHashMap<WindowKey, Arc<WindowSearch>>>,
     /// One slot per line: (digest, ranking).
-    rankings: Mutex<HashMap<u64, (u64, Ranking)>>,
-    joint: Mutex<HashMap<JointKey, Arc<JointCounts>>>,
-    line_memo: Mutex<HashMap<u64, Vec<MemoSlot>>>,
+    rankings: Mutex<FxHashMap<u64, (u64, Ranking)>>,
+    joint: Mutex<FxHashMap<JointKey, Arc<JointCounts>>>,
+    line_memo: Mutex<FxHashMap<u64, Vec<MemoSlot>>>,
     memo_hits: AtomicU64,
     /// One turn-taking lock per planning config digest.
-    config_turns: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+    config_turns: Mutex<FxHashMap<u64, Arc<Mutex<()>>>>,
 }
 
 impl PlannerBaseline {
@@ -220,12 +271,13 @@ impl PlannerBaseline {
 
     /// The window search for one target block under `planner`'s cycle
     /// ceiling and node budget, run once per distinct (CFG, target, ceiling,
-    /// budget).
+    /// budget). A search run here is counted into `work`.
     fn window_for(
         &self,
         planner: &Planner,
         profile_digest: u64,
         target_block: BlockId,
+        work: &mut WorkCounters,
     ) -> Arc<WindowSearch> {
         let cfg = &planner.cfg;
         let key: WindowKey =
@@ -237,6 +289,7 @@ impl PlannerBaseline {
                 target_block,
                 cfg.max_prefetch_cycles,
                 cfg.max_search_nodes,
+                work,
             ))
         }))
     }
@@ -294,11 +347,6 @@ impl PlannerBaseline {
         }
     }
 
-    /// Number of memoized (line, planning config) outcomes (diagnostics).
-    pub fn memo_len(&self) -> usize {
-        self.line_memo.lock().expect("memo lock").values().map(Vec::len).sum()
-    }
-
     /// Per-line outcomes served from the memo so far, over every plan made
     /// with this baseline (diagnostics).
     pub fn memo_hits(&self) -> u64 {
@@ -306,24 +354,27 @@ impl PlannerBaseline {
     }
 
     /// Trace positions for each of `blocks`, filling any uncached ones in
-    /// one shared pass over the trace (mirrors `Planner::fill_positions`).
-    fn positions_for(&self, planner: &Planner, blocks: &[BlockId]) -> HashMap<u32, Arc<Vec<u32>>> {
+    /// one shared pass over the trace ([`trace_positions`]).
+    fn positions_for(&self, trace: &Trace, blocks: &[BlockId]) -> Vec<Arc<[u32]>> {
         let mut cache = self.positions.lock().expect("positions lock");
-        let missing: std::collections::HashSet<u32> =
-            blocks.iter().map(|b| b.0).filter(|b| !cache.contains_key(b)).collect();
+        let missing: Vec<BlockId> = blocks
+            .iter()
+            .copied()
+            .filter(|b| cache.get(b.index()).is_none_or(Option::is_none))
+            .collect();
         if !missing.is_empty() {
-            let mut fresh: HashMap<u32, Vec<u32>> =
-                missing.iter().map(|&b| (b, Vec::new())).collect();
-            for (idx, block) in planner.trace.iter().enumerate() {
-                if let Some(v) = fresh.get_mut(&block.0) {
-                    v.push(idx as u32);
+            let fresh = trace_positions(trace, &missing);
+            for (b, positions) in missing.iter().zip(fresh) {
+                if cache.len() <= b.index() {
+                    cache.resize(b.index() + 1, None);
                 }
-            }
-            for (b, v) in fresh {
-                cache.insert(b, Arc::new(v));
+                cache[b.index()] = Some(positions);
             }
         }
-        blocks.iter().map(|b| (b.0, Arc::clone(&cache[&b.0]))).collect()
+        blocks
+            .iter()
+            .map(|b| Arc::clone(cache[b.index()].as_ref().expect("positions filled above")))
+            .collect()
     }
 
     /// Answers `queries` (targets given as blocks) from the joint cache,
@@ -331,37 +382,31 @@ impl PlannerBaseline {
     fn resolve_joint(
         &self,
         planner: &Planner,
-        queries: &[JointQuery],
+        queries: Vec<JointQuery>,
         targets: &[BlockId],
     ) -> Vec<Arc<JointCounts>> {
-        let keys: Vec<JointKey> = queries
-            .iter()
-            .zip(targets)
-            .map(|(q, t)| JointKey {
-                site: q.site.0,
-                target: t.0,
-                horizon: q.horizon_blocks,
-                lbr: planner.profile.lbr_depth,
-                candidates: q.candidates.iter().map(|b| b.0).collect(),
-            })
-            .collect();
+        let lbr = planner.profile.lbr_depth;
+        let keys: Vec<JointKey> =
+            queries.iter().zip(targets).map(|(q, &t)| JointKey::new(q, t, lbr)).collect();
         let mut cache = self.joint.lock().expect("joint lock");
-        let missing: Vec<usize> =
-            (0..queries.len()).filter(|&i| !cache.contains_key(&keys[i])).collect();
+        let mut missing: Vec<JointQuery> = Vec::new();
+        let mut missing_keys: Vec<JointKey> = Vec::new();
+        let mut missing_targets: Vec<BlockId> = Vec::new();
+        for ((q, key), &target) in queries.into_iter().zip(&keys).zip(targets) {
+            if !cache.contains_key(key) {
+                missing.push(q);
+                missing_keys.push(*key);
+                missing_targets.push(target);
+            }
+        }
         if !missing.is_empty() {
-            let blocks: Vec<BlockId> = missing.iter().map(|&i| targets[i]).collect();
-            let positions = self.positions_for(planner, &blocks);
-            let subset: Vec<JointQuery> = missing
-                .iter()
-                .map(|&i| {
-                    let mut q = queries[i].clone();
-                    q.target_positions = positions[&targets[i].0].as_ref().clone();
-                    q
-                })
-                .collect();
-            let results = scan_joint(planner.trace, planner.profile.lbr_depth, &subset);
-            for (&i, counts) in missing.iter().zip(results) {
-                cache.insert(keys[i].clone(), Arc::new(counts));
+            let positions = self.positions_for(planner.trace, &missing_targets);
+            for (q, p) in missing.iter_mut().zip(positions) {
+                q.target_positions = p;
+            }
+            let results = scan_joint(planner.trace, lbr, &missing);
+            for (key, counts) in missing_keys.into_iter().zip(results) {
+                cache.insert(key, Arc::new(counts));
             }
         }
         keys.iter().map(|k| Arc::clone(&cache[k])).collect()
@@ -526,20 +571,23 @@ impl<'a> Planner<'a> {
         predictors
     }
 
-    /// Fills each query's target positions with its miss block's trace
-    /// positions, in one pass over the trace.
-    fn fill_positions(&self, queries: &mut [JointQuery], targets: &[BlockId]) {
-        let needed: std::collections::HashSet<u32> = targets.iter().map(|b| b.0).collect();
-        let mut positions: std::collections::HashMap<u32, Vec<u32>> =
-            needed.iter().map(|&b| (b, Vec::new())).collect();
-        for (idx, block) in self.trace.iter().enumerate() {
-            if let Some(v) = positions.get_mut(&block.0) {
-                v.push(idx as u32);
-            }
-        }
-        for (q, target) in queries.iter_mut().zip(targets) {
-            q.target_positions = positions[&target.0].clone();
-        }
+    /// Context discovery ([`crate::context::discover_multi`]) for one
+    /// query's counts under this plan's config, counted into `work`.
+    fn discover(
+        &self,
+        counts: &JointCounts,
+        candidates: &[BlockId],
+        work: &mut WorkCounters,
+    ) -> (Vec<ContextChoice>, f64) {
+        work.discovery(greedy_cover(
+            counts,
+            candidates,
+            self.cfg.ctx_size,
+            self.cfg.min_ctx_support,
+            self.cfg.ctx_gain_margin,
+            self.cfg.min_ctx_probability,
+            self.cfg.max_contexts_per_site,
+        ))
     }
 
     /// Runs the analysis and produces the plan.
@@ -559,14 +607,16 @@ impl<'a> Planner<'a> {
     /// batch) or through the baseline's cache.
     fn resolve_queries(
         &self,
-        queries: &mut [JointQuery],
+        mut queries: Vec<JointQuery>,
         targets: &[BlockId],
         baseline: Option<&PlannerBaseline>,
     ) -> Vec<Arc<JointCounts>> {
         match baseline {
             None => {
-                self.fill_positions(queries, targets);
-                scan_joint(self.trace, self.profile.lbr_depth, queries)
+                for (q, p) in queries.iter_mut().zip(trace_positions(self.trace, targets)) {
+                    q.target_positions = p;
+                }
+                scan_joint(self.trace, self.profile.lbr_depth, &queries)
                     .into_iter()
                     .map(Arc::new)
                     .collect()
@@ -619,6 +669,8 @@ impl<'a> Planner<'a> {
         let turn = baseline.map(|b| b.config_turn(config_digest));
         let turn_guard = turn.as_ref().map(|t| t.lock().unwrap_or_else(PoisonError::into_inner));
         let conditional = self.cfg.conditional && self.cfg.ctx_size > 0;
+        // Window and context work, added to telemetry once at the end.
+        let mut work = WorkCounters::default();
         let mut memo_hits = 0u64;
         let mut memo_misses = 0u64;
 
@@ -668,17 +720,19 @@ impl<'a> Planner<'a> {
                 }
                 continue;
             };
+            let min = self.cfg.min_prefetch_cycles;
             let candidates = match baseline {
                 Some(b) => b
-                    .window_for(self, profile_digest, target_block)
-                    .within(self.cfg.min_prefetch_cycles),
-                None => find_candidates(
+                    .window_for(self, profile_digest, target_block, &mut work)
+                    .within(min, &mut work),
+                None => search_window(
                     &self.profile.cfg,
                     target_block,
-                    self.cfg.min_prefetch_cycles,
                     self.cfg.max_prefetch_cycles,
                     self.cfg.max_search_nodes,
-                ),
+                    &mut work,
+                )
+                .within(min, &mut work),
             };
             // Coverage- and precision-driven multi-site selection: a miss
             // reached over several paths gets one prefetch per covering
@@ -749,7 +803,7 @@ impl<'a> Planner<'a> {
                         // trace positions are filled in after this pass.
                         queries.push(JointQuery {
                             site: site.cand.block,
-                            target_positions: Vec::new(),
+                            target_positions: Arc::from([]),
                             candidates: predictors.clone(),
                             horizon_blocks: horizon,
                         });
@@ -777,7 +831,7 @@ impl<'a> Planner<'a> {
         let results = if queries.is_empty() {
             Vec::new()
         } else {
-            self.resolve_queries(&mut queries, &query_targets, baseline)
+            self.resolve_queries(queries, &query_targets, baseline)
         };
         for fl in &mut fresh {
             for entry in &mut fl.entries {
@@ -796,15 +850,7 @@ impl<'a> Planner<'a> {
                 if unconditional >= self.cfg.zero_fanout_threshold {
                     continue;
                 }
-                let (ctxs, coverage) = discover_multi(
-                    counts,
-                    &entry.candidates,
-                    self.cfg.ctx_size,
-                    self.cfg.min_ctx_support,
-                    self.cfg.ctx_gain_margin,
-                    self.cfg.min_ctx_probability,
-                    self.cfg.max_contexts_per_site,
-                );
+                let (ctxs, coverage) = self.discover(counts, &entry.candidates, &mut work);
                 if entry.site.needs_ctx {
                     // An imprecise site is kept conditionally when contexts
                     // make its firings likely to be useful; failing that it
@@ -839,23 +885,25 @@ impl<'a> Planner<'a> {
                 let line = fl.line;
                 let target_block = fl.target_block;
                 let Some(line_stats) = self.profile.misses.line(line) else { continue };
-                let mut ranked = fl.spares.clone();
-                let presence =
-                    |b: BlockId| line_stats.history_presence.get(&b).copied().unwrap_or(0);
+                // Each spare's presence, looked up once (not per comparison).
+                let mut ranked: Vec<(u64, SiteCandidate)> = fl
+                    .spares
+                    .iter()
+                    .map(|&c| (line_stats.history_presence.get(&c.block).copied().unwrap_or(0), c))
+                    .collect();
                 ranked.sort_by(|a, b| {
-                    presence(b.block).cmp(&presence(a.block)).then_with(|| {
-                        b.cycles
-                            .partial_cmp(&a.cycles)
+                    b.0.cmp(&a.0).then_with(|| {
+                        b.1.cycles
+                            .partial_cmp(&a.1.cycles)
                             .unwrap_or(std::cmp::Ordering::Equal)
-                            .then_with(|| a.block.0.cmp(&b.block.0))
+                            .then_with(|| a.1.block.0.cmp(&b.1.block.0))
                     })
                 });
                 let mut taken = 0;
-                for cand in ranked {
+                for (pres, cand) in ranked {
                     if taken >= 2 {
                         break;
                     }
-                    let pres = presence(cand.block);
                     let execs = self.profile.cfg.exec_count(cand.block).max(1);
                     let precision = (pres as f64 / execs as f64).min(1.0);
                     // Even a conditional op *executes* on every site pass;
@@ -878,7 +926,7 @@ impl<'a> Planner<'a> {
                     let horizon = (cand.blocks * 3).max(64);
                     retry_queries.push(JointQuery {
                         site: cand.block,
-                        target_positions: Vec::new(),
+                        target_positions: Arc::from([]),
                         candidates: predictors.clone(),
                         horizon_blocks: horizon,
                     });
@@ -893,7 +941,7 @@ impl<'a> Planner<'a> {
                 }
             }
             if !retry_queries.is_empty() {
-                let results = self.resolve_queries(&mut retry_queries, &retry_targets, baseline);
+                let results = self.resolve_queries(retry_queries, &retry_targets, baseline);
                 for fl in &mut fresh {
                     for entry in &mut fl.retry {
                         let counts = &results[entry.query.expect("retry entries carry queries")];
@@ -901,15 +949,7 @@ impl<'a> Planner<'a> {
                         if unconditional >= self.cfg.zero_fanout_threshold {
                             continue;
                         }
-                        let (ctxs, _) = discover_multi(
-                            counts,
-                            &entry.candidates,
-                            self.cfg.ctx_size,
-                            self.cfg.min_ctx_support,
-                            self.cfg.ctx_gain_margin,
-                            self.cfg.min_ctx_probability,
-                            self.cfg.max_contexts_per_site,
-                        );
+                        let (ctxs, _) = self.discover(counts, &entry.candidates, &mut work);
                         if !ctxs.is_empty() {
                             entry.ctxs = ctxs;
                         } else if unconditional < self.cfg.min_unconditional_reach
@@ -1072,6 +1112,7 @@ impl<'a> Planner<'a> {
         tele.add("core.plan.ops_emitted", provenance.len() as u64);
         tele.add("core.plan.memo_hits", memo_hits);
         tele.add("core.plan.memo_misses", memo_misses);
+        work.flush(&tele);
         Plan { injections, stats, context_details, provenance }
     }
 
@@ -1163,6 +1204,7 @@ mod tests {
     use ispy_profile::{profile, SampleRate};
     use ispy_sim::{run, RunOptions, SimConfig};
     use ispy_trace::apps;
+    use std::collections::HashMap;
 
     fn planned(
         model: ispy_trace::AppModel,

@@ -8,11 +8,12 @@
 //! carries the probability that executing it leads to the miss — the
 //! complement of the paper's *fan-out*.
 
+use crate::work::WorkCounters;
 use ispy_profile::DynCfg;
 use ispy_trace::BlockId;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 /// A candidate injection site for one miss target.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,7 +103,11 @@ pub fn find_candidates(
     max_cycles: u32,
     max_nodes: usize,
 ) -> Vec<SiteCandidate> {
-    search_window(cfg, target, max_cycles, max_nodes).within(min_cycles)
+    let mut work = WorkCounters::default();
+    let found =
+        search_window(cfg, target, max_cycles, max_nodes, &mut work).within(min_cycles, &mut work);
+    work.flush(&ispy_telemetry::global());
+    found
 }
 
 /// The result of one backward window search with no lower cycle bound:
@@ -123,85 +128,130 @@ impl WindowSearch {
     /// The candidates at least `min_cycles` ahead, highest reach
     /// probability first (ties by block id). Counts the
     /// `[min_cycles, max_cycles]` window's candidates and its untimely
-    /// rejections (too close or too far) into telemetry.
-    pub(crate) fn within(&self, min_cycles: u32) -> Vec<SiteCandidate> {
+    /// rejections (too close or too far) into `work`.
+    pub(crate) fn within(&self, min_cycles: u32, work: &mut WorkCounters) -> Vec<SiteCandidate> {
         let min = f64::from(min_cycles);
         let out: Vec<SiteCandidate> =
             self.candidates.iter().filter(|c| c.cycles >= min).copied().collect();
         let too_close = (self.candidates.len() - out.len()) as u64;
-        let tele = ispy_telemetry::global();
-        tele.add("core.window.candidates_found", out.len() as u64);
-        tele.add("core.window.rejected_untimely", self.rejected_beyond + too_close);
+        work.filters += 1;
+        work.candidates_found += out.len() as u64;
+        work.rejected_untimely += self.rejected_beyond + too_close;
         out
     }
 }
 
+/// One thread's search state, reused by every search the thread runs:
+/// each block's settled probability, valid only where the block's stamp
+/// equals the current search's generation, so a search starts with one
+/// increment instead of clearing (or allocating) a per-block array.
+#[derive(Default)]
+struct Scratch {
+    generation: u32,
+    stamp: Vec<u32>,
+    settled: Vec<f64>,
+    heap: BinaryHeap<Node>,
+}
+
+impl Scratch {
+    /// Starts a search over block ids below `n`.
+    fn begin(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.settled.resize(n, 0.0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+        self.heap.clear();
+    }
+
+    /// `b`'s settled probability in the current search, if it has one.
+    fn settled(&self, b: BlockId) -> Option<f64> {
+        (self.stamp[b.index()] == self.generation).then(|| self.settled[b.index()])
+    }
+
+    fn settle(&mut self, b: BlockId, prob: f64) {
+        self.stamp[b.index()] = self.generation;
+        self.settled[b.index()] = prob;
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
 /// Runs the bounded backward search for `target` with no lower cycle bound
-/// (see [`WindowSearch`]).
+/// (see [`WindowSearch`]), counting the search and its expansions into
+/// `work`.
 pub(crate) fn search_window(
     cfg: &DynCfg,
     target: BlockId,
     max_cycles: u32,
     max_nodes: usize,
+    work: &mut WorkCounters,
 ) -> WindowSearch {
     let max = f64::from(max_cycles);
-    let mut best: HashMap<u32, Node> = HashMap::new();
-    let mut heap = BinaryHeap::new();
     let mut out = Vec::new();
-    let start = Node { prob: 1.0, cycles: 0.0, blocks: 0, block: target };
-    heap.push(start);
     let mut expanded = 0usize;
     let mut rejected_beyond = 0u64;
-
-    while let Some(node) = heap.pop() {
-        // Settled check: only the best (first-popped) entry per block counts.
-        match best.get(&node.block.0) {
-            Some(settled) if settled.prob >= node.prob => continue,
-            _ => {}
-        }
-        best.insert(node.block.0, node);
-        expanded += 1;
-        if expanded > max_nodes {
-            break;
-        }
-
-        if node.block != target && node.cycles <= max {
-            out.push(SiteCandidate {
-                block: node.block,
-                reach_prob: node.prob,
-                cycles: node.cycles,
-                blocks: node.blocks,
-            });
-        } else if node.block != target {
-            // Settled predecessor beyond the prefetch window: too far to
-            // trust the path estimate.
-            rejected_beyond += 1;
-        }
-        // Expanding beyond max_cycles cannot produce in-window candidates
-        // (cycle costs are non-negative along predecessors).
-        if node.cycles > max {
-            continue;
-        }
-        for &(pred, _) in cfg.preds(node.block) {
-            let e = cfg.edge_prob(pred, node.block);
-            if e <= 0.0 {
+    SCRATCH.with(|scratch| {
+        let s = &mut *scratch.borrow_mut();
+        s.begin(cfg.num_blocks().max(target.index() + 1));
+        s.heap.push(Node { prob: 1.0, cycles: 0.0, blocks: 0, block: target });
+        while let Some(node) = s.heap.pop() {
+            // Settled check: only the best (first-popped) entry per block
+            // counts.
+            if s.settled(node.block).is_some_and(|p| p >= node.prob) {
                 continue;
             }
-            let cand = Node {
-                prob: node.prob * e,
-                cycles: node.cycles + cfg.avg_cycles(pred),
-                blocks: node.blocks + 1,
-                block: pred,
-            };
-            if cand.prob < 1e-6 {
+            s.settle(node.block, node.prob);
+            expanded += 1;
+            if expanded > max_nodes {
+                break;
+            }
+
+            if node.block != target && node.cycles <= max {
+                out.push(SiteCandidate {
+                    block: node.block,
+                    reach_prob: node.prob,
+                    cycles: node.cycles,
+                    blocks: node.blocks,
+                });
+            } else if node.block != target {
+                // Settled predecessor beyond the prefetch window: too far to
+                // trust the path estimate.
+                rejected_beyond += 1;
+            }
+            // Expanding beyond max_cycles cannot produce in-window candidates
+            // (cycle costs are non-negative along predecessors).
+            if node.cycles > max {
                 continue;
             }
-            let dominated = best.get(&pred.0).is_some_and(|s| s.prob >= cand.prob);
-            if !dominated {
-                heap.push(cand);
+            for &(pred, w) in cfg.preds(node.block) {
+                // `edge_prob(pred, node.block)`: this entry's taken count
+                // over `pred`'s out-total, zero (skipped) when never taken.
+                if w == 0 {
+                    continue;
+                }
+                let e = w as f64 / cfg.out_total(pred) as f64;
+                let cand = Node {
+                    prob: node.prob * e,
+                    cycles: node.cycles + cfg.avg_cycles(pred),
+                    blocks: node.blocks + 1,
+                    block: pred,
+                };
+                if cand.prob < 1e-6 {
+                    continue;
+                }
+                if !s.settled(pred).is_some_and(|p| p >= cand.prob) {
+                    s.heap.push(cand);
+                }
             }
         }
-    }
+    });
 
     // Deterministic order: highest reach probability first, then block id.
     out.sort_by(|a, b| {
@@ -210,10 +260,8 @@ pub(crate) fn search_window(
             .unwrap_or(Ordering::Equal)
             .then(a.block.0.cmp(&b.block.0))
     });
-    // One registry touch per search (not per node) keeps the hot loop clean.
-    let tele = ispy_telemetry::global();
-    tele.add("core.window.searches", 1);
-    tele.add("core.window.nodes_expanded", expanded as u64);
+    work.searches += 1;
+    work.nodes_expanded += expanded as u64;
     WindowSearch { candidates: out, rejected_beyond }
 }
 
@@ -282,8 +330,15 @@ pub fn select_covering_sites(
     if miss_count == 0 || policy.max_sites == 0 {
         return Vec::new();
     }
-    let mut ranked: Vec<(u64, SiteCandidate)> =
-        candidates.iter().map(|&c| (presence(c.block), c)).collect();
+    // A candidate below the coverage floor is never taken, and every
+    // candidate ranked after it is below the floor too, so dropping them
+    // before the sort leaves the taken prefix unchanged.
+    let below_floor = |pres: u64| (pres as f64 / miss_count as f64) < policy.min_presence;
+    let mut ranked: Vec<(u64, SiteCandidate)> = candidates
+        .iter()
+        .map(|&c| (presence(c.block), c))
+        .filter(|&(pres, _)| !below_floor(pres))
+        .collect();
     // Highest coverage first; among equals prefer *closer* sites — the
     // prefetched line spends less time exposed to eviction before use.
     ranked.sort_by(|a, b| {
@@ -295,9 +350,6 @@ pub fn select_covering_sites(
     let mut cum = 0.0;
     for (pres, cand) in ranked {
         let presence_frac = pres as f64 / miss_count as f64;
-        if presence_frac < policy.min_presence {
-            break;
-        }
         let execs = exec_count(cand.block).max(1);
         let precision = (pres as f64 / execs as f64).min(1.0);
         let needs_ctx = precision < policy.min_unconditional_precision;
@@ -317,6 +369,8 @@ pub fn select_covering_sites(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ispy_trace::rng::Pcg32;
+    use std::collections::HashMap;
 
     fn chain_cfg(n: u32, cycles: f64) -> DynCfg {
         let mut edges = HashMap::new();
@@ -545,7 +599,6 @@ mod tests {
 
     #[test]
     fn lower_bound_is_a_filter_over_random_cfgs() {
-        use ispy_trace::rng::Pcg32;
         let mut rng = Pcg32::seed_from_u64(0x5eed_0f18);
         for case in 0..300 {
             let n = 2 + rng.below(60) as u32;
@@ -573,6 +626,130 @@ mod tests {
                 got,
                 reference_candidates(&cfg, target, min, max, nodes),
                 "case {case}: min {min} max {max} nodes {nodes}"
+            );
+        }
+    }
+
+    #[test]
+    fn scratch_generation_wrap_forgets_every_settled_block() {
+        let mut s = Scratch::default();
+        s.begin(4);
+        s.settle(BlockId(2), 0.5);
+        assert_eq!(s.settled(BlockId(2)), Some(0.5));
+        s.begin(4);
+        assert_eq!(s.settled(BlockId(2)), None);
+        s.settle(BlockId(3), 0.25);
+        // The next generation wraps to zero, the stamp every fresh slot has.
+        s.generation = u32::MAX;
+        s.stamp[3] = u32::MAX;
+        s.begin(6);
+        assert_eq!(s.generation, 1);
+        assert!((0..6).all(|b| s.settled(BlockId(b)).is_none()));
+    }
+
+    /// The edge probability the search computes from a predecessor entry,
+    /// `w / out_total(pred)`, is `edge_prob(pred, b)` bit for bit on every
+    /// edge of every app model's test-scale dynamic CFG.
+    #[test]
+    fn predecessor_weights_reproduce_edge_probabilities() {
+        use ispy_profile::{profile, SampleRate};
+        use ispy_sim::SimConfig;
+        let mut edges = 0usize;
+        for model in ispy_trace::apps::all() {
+            let model = model.scaled_down(20);
+            let program = model.generate();
+            let trace = program.record_trace(model.default_input(), 50_000);
+            let cfg = profile(&program, &trace, &SimConfig::default(), SampleRate::EXACT).cfg;
+            for b in (0..cfg.num_blocks() as u32).map(BlockId) {
+                for &(pred, w) in cfg.preds(b) {
+                    let dense = if w == 0 { 0.0 } else { w as f64 / cfg.out_total(pred) as f64 };
+                    assert_eq!(
+                        dense.to_bits(),
+                        cfg.edge_prob(pred, b).to_bits(),
+                        "{}: edge {pred} -> {b}",
+                        model.name()
+                    );
+                    edges += 1;
+                }
+            }
+        }
+        assert!(edges > 1_000, "only {edges} edges checked");
+    }
+
+    /// [`select_covering_sites`] without the floor prefilter: every
+    /// candidate is ranked and the loop stops at the first one below the
+    /// floor. The definition the prefiltered selection must match.
+    fn reference_covering_sites(
+        candidates: &[SiteCandidate],
+        presence: impl Fn(BlockId) -> u64,
+        exec_count: impl Fn(BlockId) -> u64,
+        miss_count: u64,
+        policy: &SelectionPolicy,
+    ) -> Vec<SelectedSite> {
+        if miss_count == 0 || policy.max_sites == 0 {
+            return Vec::new();
+        }
+        let mut ranked: Vec<(u64, SiteCandidate)> =
+            candidates.iter().map(|&c| (presence(c.block), c)).collect();
+        ranked.sort_by(|a, b| {
+            b.0.cmp(&a.0)
+                .then_with(|| a.1.cycles.partial_cmp(&b.1.cycles).unwrap_or(Ordering::Equal))
+                .then_with(|| a.1.block.0.cmp(&b.1.block.0))
+        });
+        let mut chosen: Vec<SelectedSite> = Vec::new();
+        let mut cum = 0.0;
+        for (pres, cand) in ranked {
+            let presence_frac = pres as f64 / miss_count as f64;
+            if presence_frac < policy.min_presence {
+                break;
+            }
+            let execs = exec_count(cand.block).max(1);
+            let precision = (pres as f64 / execs as f64).min(1.0);
+            let needs_ctx = precision < policy.min_unconditional_precision;
+            if needs_ctx
+                && (!policy.allow_conditional || precision < policy.min_conditional_precision)
+            {
+                continue;
+            }
+            chosen.push(SelectedSite { cand, presence_frac, precision, needs_ctx });
+            cum += presence_frac;
+            if cum >= 1.3 || chosen.len() >= policy.max_sites {
+                break;
+            }
+        }
+        chosen
+    }
+
+    #[test]
+    fn prefiltered_selection_matches_reference_on_random_candidates() {
+        let mut rng = Pcg32::seed_from_u64(0x5e1e_c7ed);
+        for case in 0..2_000 {
+            let n = rng.below(40) as u32;
+            let miss_count = rng.below(200);
+            // Few distinct cycle values and presences make ties common.
+            let cands: Vec<SiteCandidate> = (0..n)
+                .map(|i| SiteCandidate {
+                    block: BlockId(i * 3 % 61),
+                    reach_prob: rng.below(100) as f64 / 100.0,
+                    cycles: (rng.below(8) * 25) as f64,
+                    blocks: rng.below(20) as u32,
+                })
+                .collect();
+            let presence: Vec<u64> = (0..61).map(|_| rng.below(miss_count + 1)).collect();
+            let execs: Vec<u64> = (0..61).map(|_| rng.below(2_000)).collect();
+            let policy = SelectionPolicy {
+                max_sites: rng.below(6) as usize,
+                min_presence: rng.below(60) as f64 / 100.0,
+                min_unconditional_precision: rng.below(100) as f64 / 100.0,
+                min_conditional_precision: rng.below(10) as f64 / 100.0,
+                allow_conditional: rng.below(2) == 0,
+            };
+            let pres = |b: BlockId| presence[b.index()];
+            let exec = |b: BlockId| execs[b.index()];
+            assert_eq!(
+                select_covering_sites(&cands, pres, exec, miss_count, &policy),
+                reference_covering_sites(&cands, pres, exec, miss_count, &policy),
+                "case {case}: {policy:?}"
             );
         }
     }

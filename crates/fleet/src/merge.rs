@@ -230,24 +230,18 @@ impl ConsensusBuilder {
             stats.lines_kept += 1;
             stats.total_misses += la.count;
             let ctx_needed = votes_needed(self.cfg.ctx_vote, la.votes);
-            let mut history_presence = HashMap::new();
+            let mut line = LineMissStats { count: la.count, ..Default::default() };
             for (b, (votes, count)) in la.history {
                 if votes >= ctx_needed {
-                    history_presence.insert(BlockId(b), count);
+                    line.history_presence.insert(BlockId(b), count);
                 } else {
                     stats.predictors_dropped += 1;
                 }
             }
+            line.at_blocks = la.at_blocks.into_iter().map(|(b, c)| (BlockId(b), c)).collect();
             la.positions.sort_unstable();
-            misses.insert_line(
-                Line::new(raw),
-                LineMissStats {
-                    count: la.count,
-                    at_blocks: la.at_blocks.into_iter().map(|(b, c)| (BlockId(b), c)).collect(),
-                    history_presence,
-                    positions: la.positions,
-                },
-            );
+            line.positions = la.positions;
+            misses.insert_line(Line::new(raw), line);
         }
 
         let trace_len = usize::try_from(self.trace_len).map_err(|_| FleetError::Incompatible {

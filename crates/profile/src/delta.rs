@@ -74,11 +74,6 @@ impl ProfileDelta {
         self.events == 0 && self.exec.is_empty() && self.edges.is_empty() && self.cycles.is_empty()
     }
 
-    /// Number of miss samples the delta touches (added + removed).
-    pub fn num_samples(&self) -> usize {
-        self.added.len() + self.removed.len()
-    }
-
     /// The distinct lines whose miss sets this delta changes, deduplicated.
     pub fn touched_lines(&self) -> Vec<Line> {
         let mut lines: Vec<u64> =

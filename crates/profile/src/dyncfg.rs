@@ -16,6 +16,8 @@ pub struct DynCfg {
     avg_cycles: Vec<f64>,
     succs: Vec<Vec<(BlockId, u64)>>,
     preds: Vec<Vec<(BlockId, u64)>>,
+    /// Per-block sum of the outgoing taken counts (`succs` weights).
+    out_total: Vec<u64>,
 }
 
 impl DynCfg {
@@ -39,7 +41,8 @@ impl DynCfg {
         for adj in succs.iter_mut().chain(preds.iter_mut()) {
             adj.sort_by_key(|&(b, w)| (std::cmp::Reverse(w), b));
         }
-        DynCfg { exec, avg_cycles, succs, preds }
+        let out_total = succs.iter().map(|adj| adj.iter().map(|&(_, w)| w).sum()).collect();
+        DynCfg { exec, avg_cycles, succs, preds, out_total }
     }
 
     /// Number of blocks the CFG covers.
@@ -66,6 +69,15 @@ impl DynCfg {
     /// Observed predecessors of `b` with taken counts, heaviest first.
     pub fn preds(&self, b: BlockId) -> &[(BlockId, u64)] {
         &self.preds[b.index()]
+    }
+
+    /// Total taken count out of `b`: the sum of its successor weights, the
+    /// denominator of every [`DynCfg::edge_prob`] out of `b`. A predecessor
+    /// entry `(p, w)` of `b` has probability `w / out_total(p)` (when
+    /// `w > 0`), which is how the window search walks edges without
+    /// rescanning `p`'s successors.
+    pub fn out_total(&self, b: BlockId) -> u64 {
+        self.out_total[b.index()]
     }
 
     /// Probability of taking the edge `from -> to` given `from` executed.

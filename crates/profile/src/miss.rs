@@ -1,20 +1,24 @@
 //! Per-missing-line statistics (the PEBS side of the profile).
 
 use crate::digest::mix64;
+use ispy_sim::FxHashMap;
 use ispy_trace::{BlockId, Line};
-use std::collections::HashMap;
 
 /// Everything the profiler learned about one missing I-cache line.
+///
+/// The per-block maps use the fixed-key [`FxHashMap`]: site selection probes
+/// `history_presence` once per window candidate, and block ids are
+/// simulator-internal, so SipHash's keyed DoS resistance buys nothing.
 #[derive(Debug, Clone, Default)]
 pub struct LineMissStats {
     /// Sampled miss count.
     pub count: u64,
     /// Blocks that were executing when the line missed, with counts.
     /// (A line can miss from several blocks when blocks share a line.)
-    pub at_blocks: HashMap<BlockId, u64>,
+    pub at_blocks: FxHashMap<BlockId, u64>,
     /// For each block, how many sampled misses had it in the 32-deep
     /// history window — the raw material for predictor-block mining.
-    pub history_presence: HashMap<BlockId, u64>,
+    pub history_presence: FxHashMap<BlockId, u64>,
     /// Trace positions (block indices) of the sampled misses, ascending.
     pub positions: Vec<u32>,
 }
@@ -40,7 +44,7 @@ impl LineMissStats {
     /// map digests, lengths and positions are then mixed in sequence. The
     /// value is an in-process memo key and is never persisted.
     pub fn content_digest(&self) -> u64 {
-        fn multiset(map: &HashMap<BlockId, u64>) -> u64 {
+        fn multiset(map: &FxHashMap<BlockId, u64>) -> u64 {
             map.iter().fold(0u64, |acc, (b, &c)| {
                 acc.wrapping_add(mix64(mix64(u64::from(b.0)).wrapping_add(c)))
             })
@@ -65,7 +69,7 @@ impl LineMissStats {
 /// All missing lines observed by a profiling pass.
 #[derive(Debug, Clone, Default)]
 pub struct MissProfile {
-    by_line: HashMap<u64, LineMissStats>,
+    by_line: FxHashMap<u64, LineMissStats>,
     total: u64,
 }
 

@@ -13,8 +13,7 @@
 //! so `count(S) = Σ_{M ⊇ S} count(M)`.
 
 use ispy_trace::{BlockId, Trace};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Maximum number of candidate predictor blocks per query (masks are `u16`
 /// indices into dense arrays, so 8 keeps them tiny).
@@ -28,20 +27,13 @@ pub const MAX_CANDIDATES: usize = 8;
 pub struct JointQuery {
     /// The candidate injection site.
     pub site: BlockId,
-    /// Ascending trace positions of the targeted event.
-    pub target_positions: Vec<u32>,
+    /// Ascending trace positions of the targeted event (shared, so queries
+    /// aimed at one target block hold one list).
+    pub target_positions: Arc<[u32]>,
     /// Candidate predictor blocks (≤ [`MAX_CANDIDATES`]).
     pub candidates: Vec<BlockId>,
     /// Look-ahead horizon in block events.
     pub horizon_blocks: u32,
-}
-
-impl JointQuery {
-    /// First target position at or after `idx`, if any.
-    fn next_target_at_or_after(&self, idx: u32) -> Option<u32> {
-        let i = self.target_positions.partition_point(|&p| p < idx);
-        self.target_positions.get(i).copied()
-    }
 }
 
 /// Dense per-mask counts answering a [`JointQuery`].
@@ -105,6 +97,14 @@ impl JointCounts {
 /// consistent with what the planner optimizes for. Passing a block's
 /// execution positions instead yields path-based reach/fan-out statistics.
 ///
+/// The scan's state is dense and indexed by block id: the window's
+/// per-block multiplicities, the per-site query lists and each query's
+/// candidates as indices into the multiplicities. The block leaving the
+/// window is read back from the trace, and each query keeps a cursor into
+/// its ascending target positions, so the per-event work is array reads.
+/// Block ids beyond the trace's largest block never execute, so as
+/// candidates they are always absent and as sites they never occur.
+///
 /// # Panics
 ///
 /// Panics if a query has more than [`MAX_CANDIDATES`] candidates.
@@ -118,42 +118,44 @@ pub fn scan_joint(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Ve
     let mut results: Vec<JointCounts> =
         queries.iter().map(|q| JointCounts::new(q.candidates.len())).collect();
 
-    // Group queries by site for O(1) dispatch per trace event.
-    let mut by_site: HashMap<BlockId, Vec<usize>> = HashMap::new();
+    let blocks = trace.blocks();
+    // Slot `absent` (one past the largest block the trace runs) stands for
+    // every block id the trace never runs; its multiplicity stays zero.
+    let absent = blocks.iter().map(|b| b.index() + 1).max().unwrap_or(0);
+    let slot = |b: BlockId| b.index().min(absent);
+    let mut present = vec![0u32; absent + 1];
+    let mut by_site: Vec<Vec<usize>> = vec![Vec::new(); absent];
     for (i, q) in queries.iter().enumerate() {
-        by_site.entry(q.site).or_default().push(i);
-    }
-
-    // Rolling presence window with multiplicity counts.
-    let mut window: VecDeque<BlockId> = VecDeque::with_capacity(lbr_depth + 1);
-    let mut present: HashMap<BlockId, u32> = HashMap::new();
-
-    for (idx, block) in trace.iter().enumerate() {
-        window.push_back(block);
-        *present.entry(block).or_insert(0) += 1;
-        if window.len() > lbr_depth {
-            let old = window.pop_front().expect("non-empty");
-            if let Some(c) = present.get_mut(&old) {
-                *c -= 1;
-                if *c == 0 {
-                    present.remove(&old);
-                }
-            }
+        if let Some(list) = by_site.get_mut(q.site.index()) {
+            list.push(i);
         }
+    }
+    let cand_slots: Vec<Vec<usize>> =
+        queries.iter().map(|q| q.candidates.iter().map(|&c| slot(c)).collect()).collect();
+    // Index of each query's first target position not yet behind the scan.
+    let mut cursor = vec![0usize; queries.len()];
 
-        let Some(query_ids) = by_site.get(&block) else { continue };
-        for &qi in query_ids {
+    for (idx, &block) in blocks.iter().enumerate() {
+        present[block.index()] += 1;
+        if idx >= lbr_depth {
+            present[blocks[idx - lbr_depth].index()] -= 1;
+        }
+        for &qi in &by_site[block.index()] {
             let q = &queries[qi];
             let mut mask = 0u16;
-            for (ci, cand) in q.candidates.iter().enumerate() {
-                if present.contains_key(cand) {
+            for (ci, &s) in cand_slots[qi].iter().enumerate() {
+                if present[s] > 0 {
                     mask |= 1 << ci;
                 }
             }
             results[qi].occurrences[mask as usize] += 1;
-            let hit = q
-                .next_target_at_or_after(idx as u32 + 1)
-                .is_some_and(|pos| pos - idx as u32 <= q.horizon_blocks);
+            let targets = &q.target_positions;
+            let mut next = cursor[qi];
+            while targets.get(next).is_some_and(|&p| p <= idx as u32) {
+                next += 1;
+            }
+            cursor[qi] = next;
+            let hit = targets.get(next).is_some_and(|&pos| pos - idx as u32 <= q.horizon_blocks);
             if hit {
                 results[qi].hits[mask as usize] += 1;
             }
@@ -165,6 +167,8 @@ pub fn scan_joint(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ispy_trace::rng::Pcg32;
+    use std::collections::{HashMap, VecDeque};
 
     fn b(i: u32) -> BlockId {
         BlockId(i)
@@ -182,7 +186,7 @@ mod tests {
         let (trace, pos) = setup();
         let q = JointQuery {
             site: b(9),
-            target_positions: pos,
+            target_positions: pos.into(),
             candidates: vec![b(1), b(2)],
             horizon_blocks: 2,
         };
@@ -205,7 +209,7 @@ mod tests {
         let (trace, pos) = setup();
         let q = JointQuery {
             site: b(9),
-            target_positions: pos,
+            target_positions: pos.into(),
             candidates: vec![b(1), b(2)],
             horizon_blocks: 2,
         };
@@ -228,7 +232,7 @@ mod tests {
         let trace = Trace::new("t", vec![b(1), b(2), b(3), b(4), b(9)]);
         let q = JointQuery {
             site: b(9),
-            target_positions: vec![],
+            target_positions: Arc::from([]),
             candidates: vec![b(1)],
             horizon_blocks: 4,
         };
@@ -245,7 +249,7 @@ mod tests {
         let (trace, pos) = setup();
         let q = JointQuery {
             site: b(42), // never executes
-            target_positions: pos,
+            target_positions: pos.into(),
             candidates: vec![b(1)],
             horizon_blocks: 2,
         };
@@ -260,11 +264,16 @@ mod tests {
         let qs = vec![
             JointQuery {
                 site: b(9),
-                target_positions: pos.clone(),
+                target_positions: pos.clone().into(),
                 candidates: vec![b(1)],
                 horizon_blocks: 2,
             },
-            JointQuery { site: b(2), target_positions: pos, candidates: vec![], horizon_blocks: 2 },
+            JointQuery {
+                site: b(2),
+                target_positions: pos.into(),
+                candidates: vec![],
+                horizon_blocks: 2,
+            },
         ];
         let res = scan_joint(&trace, 4, &qs);
         assert_eq!(res.len(), 2);
@@ -278,10 +287,104 @@ mod tests {
         let (trace, pos) = setup();
         let q = JointQuery {
             site: b(9),
-            target_positions: pos,
+            target_positions: pos.into(),
             candidates: (0..9).map(b).collect(),
             horizon_blocks: 2,
         };
         let _ = scan_joint(&trace, 4, &[q]);
+    }
+
+    /// The map-based scan the dense one replaced: a `VecDeque` window with
+    /// a multiplicity map, a site-to-queries map, and a binary search for
+    /// the next target. The definition [`scan_joint`] must match.
+    fn reference_scan(trace: &Trace, lbr_depth: usize, queries: &[JointQuery]) -> Vec<JointCounts> {
+        let mut results: Vec<JointCounts> =
+            queries.iter().map(|q| JointCounts::new(q.candidates.len())).collect();
+        let mut by_site: HashMap<BlockId, Vec<usize>> = HashMap::new();
+        for (i, q) in queries.iter().enumerate() {
+            by_site.entry(q.site).or_default().push(i);
+        }
+        let mut window: VecDeque<BlockId> = VecDeque::with_capacity(lbr_depth + 1);
+        let mut present: HashMap<BlockId, u32> = HashMap::new();
+        for (idx, block) in trace.iter().enumerate() {
+            window.push_back(block);
+            *present.entry(block).or_insert(0) += 1;
+            if window.len() > lbr_depth {
+                let old = window.pop_front().expect("non-empty");
+                if let Some(c) = present.get_mut(&old) {
+                    *c -= 1;
+                    if *c == 0 {
+                        present.remove(&old);
+                    }
+                }
+            }
+            let Some(query_ids) = by_site.get(&block) else { continue };
+            for &qi in query_ids {
+                let q = &queries[qi];
+                let mut mask = 0u16;
+                for (ci, cand) in q.candidates.iter().enumerate() {
+                    if present.contains_key(cand) {
+                        mask |= 1 << ci;
+                    }
+                }
+                results[qi].occurrences[mask as usize] += 1;
+                let next = q.target_positions.partition_point(|&p| p < idx as u32 + 1);
+                let hit = q
+                    .target_positions
+                    .get(next)
+                    .is_some_and(|&pos| pos - idx as u32 <= q.horizon_blocks);
+                if hit {
+                    results[qi].hits[mask as usize] += 1;
+                }
+            }
+        }
+        results
+    }
+
+    #[test]
+    fn dense_scan_matches_reference_on_random_traces() {
+        let mut rng = Pcg32::seed_from_u64(0x5ca2_1017);
+        for case in 0..400 {
+            // A few hot blocks make windows repeat blocks; the largest id
+            // drawn may be below `nb - 1`, so some ids never run.
+            let nb = 1 + rng.below(40) as u32;
+            let len = rng.below(600) as usize;
+            let hot = 1 + rng.below(u64::from(nb)) as u32;
+            let trace: Vec<BlockId> = (0..len)
+                .map(|_| {
+                    b(if rng.below(3) == 0 {
+                        rng.below(u64::from(nb))
+                    } else {
+                        rng.below(u64::from(hot))
+                    } as u32)
+                })
+                .collect();
+            let trace = Trace::new("t", trace);
+            let lbr_depth = 1 + rng.below(40) as usize;
+            let queries: Vec<JointQuery> = (0..rng.below(12))
+                .map(|_| {
+                    // Sites and candidates range past the largest block id.
+                    let site = b(rng.below(u64::from(nb) + 4) as u32);
+                    let n_cand = rng.below(MAX_CANDIDATES as u64 + 1) as usize;
+                    let candidates =
+                        (0..n_cand).map(|_| b(rng.below(u64::from(nb) + 8) as u32)).collect();
+                    let mut targets: Vec<u32> =
+                        (0..rng.below(40)).map(|_| rng.below(len as u64 + 20) as u32).collect();
+                    targets.sort_unstable();
+                    targets.dedup();
+                    JointQuery {
+                        site,
+                        target_positions: targets.into(),
+                        candidates,
+                        horizon_blocks: rng.below(80) as u32,
+                    }
+                })
+                .collect();
+            assert_eq!(
+                scan_joint(&trace, lbr_depth, &queries),
+                reference_scan(&trace, lbr_depth, &queries),
+                "case {case}: {len} events over {nb} blocks, depth {lbr_depth}"
+            );
+        }
     }
 }

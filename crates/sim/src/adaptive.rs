@@ -94,11 +94,6 @@ impl<'p, 'o> AdaptiveEngine<'p, 'o> {
         start..self.id_base
     }
 
-    /// Blocks replayed so far (the absolute position of the swap barrier).
-    pub fn blocks_replayed(&self) -> usize {
-        self.idx
-    }
-
     /// The counters accumulated so far across every generation.
     pub fn result_so_far(&self) -> SimResult {
         self.eng.result_so_far()
